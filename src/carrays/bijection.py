@@ -15,16 +15,9 @@ bottom row.
 
 from __future__ import annotations
 
-from .carray import TwoRowArray, array, array_content, is_c_array
+from .carray import TwoRowArray, _require_c_array, array_content, is_c_array
 from .krs import delete, insert
 from .tableaux import Tableau, content_of, is_d_tableau
-
-
-def _require_c_array(s: TwoRowArray) -> TwoRowArray:
-    s = array(s)
-    if not is_c_array(s):
-        raise ValueError(f"not a c-array: {s}")
-    return s
 
 
 def carray_to_dtableau(s: TwoRowArray) -> Tableau:

@@ -21,7 +21,7 @@ lexicographically.
 
 from __future__ import annotations
 
-from .tableaux import Content, trim_content
+from .tableaux import Content, count_content, json_integers, trim_content
 
 Column = tuple[int, int]
 TwoRowArray = tuple[Column, ...]
@@ -51,13 +51,7 @@ def array_rows(s: TwoRowArray) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def array_content(s: TwoRowArray) -> Content:
-    entries = [x for col in s for x in col]
-    if not entries:
-        return ()
-    counts = [0] * max(entries)
-    for x in entries:
-        counts[x - 1] += 1
-    return tuple(counts)
+    return count_content([x for col in s for x in col])
 
 
 def has_descending_columns(s: TwoRowArray) -> bool:
@@ -229,4 +223,7 @@ def array_to_json(s: TwoRowArray) -> dict:
 def array_from_json(payload: dict) -> TwoRowArray:
     if not isinstance(payload, dict) or "top" not in payload or "bottom" not in payload:
         raise ValueError("array JSON must be an object with 'top' and 'bottom' keys")
-    return array_from_rows(payload["top"], payload["bottom"])
+    return array_from_rows(
+        json_integers(payload["top"], "the top row"),
+        json_integers(payload["bottom"], "the bottom row"),
+    )

@@ -160,12 +160,12 @@ def cmd_codim(args) -> int:
 
 def cmd_verify(args) -> int:
     gens = args.generators or DEFAULT_GENERATORS[args.identity]
+    witness = check_identity(
+        args.identity, samples=args.samples, gens=gens, seed=args.seed
+    )
     print(
         f"identity={args.identity} samples={args.samples} "
         f"generators={gens} seed={args.seed}"
-    )
-    witness = check_identity(
-        args.identity, samples=args.samples, gens=gens, seed=args.seed
     )
     if witness is None:
         print("ok: all substitutions vanished")

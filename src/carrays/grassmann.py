@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .carray import TwoRowArray, array
+from .sparse import Sparse, accumulate
 
 
 def _merge_monomials(m1, m2):
@@ -44,33 +45,28 @@ def _merge_monomials(m1, m2):
     return tuple(out), sign
 
 
-class GrassmannElem:
+class GrassmannElem(Sparse):
     """Exterior-algebra element: signed rational coefficients on
     strictly increasing generator subsets."""
 
-    __slots__ = ("gens", "terms")
+    __slots__ = ("gens",)
+
+    _SPACE_NAME = "generator counts"
 
     def __init__(self, gens: int, terms=None):
         gens = int(gens)
         if gens < 0:
             raise ValueError("generator count must be nonnegative")
         self.gens = gens
-        clean: dict[tuple[int, ...], Fraction] = {}
+        pairs = []
         for mono, coeff in (terms or {}).items():
             mono = tuple(int(g) for g in mono)
             if any(g < 1 or g > gens for g in mono):
                 raise ValueError(f"generator index out of range 1..{gens}: {mono}")
             if any(mono[k] >= mono[k + 1] for k in range(len(mono) - 1)):
                 raise ValueError(f"monomial must be strictly increasing: {mono}")
-            c = Fraction(coeff)
-            if not c:
-                continue
-            acc = clean.get(mono, Fraction(0)) + c
-            if acc:
-                clean[mono] = acc
-            else:
-                clean.pop(mono, None)
-        self.terms = clean
+            pairs.append((mono, Fraction(coeff)))
+        self.terms = accumulate(pairs)
 
     @classmethod
     def zero(cls, gens: int) -> "GrassmannElem":
@@ -88,95 +84,29 @@ class GrassmannElem:
     def monomial(cls, gens: int, indices, coeff=1) -> "GrassmannElem":
         return cls(gens, {tuple(indices): Fraction(coeff)})
 
-    def _require_same(self, other: "GrassmannElem") -> None:
-        if self.gens != other.gens:
-            raise ValueError(
-                f"generator counts differ: {self.gens} vs {other.gens}"
-            )
+    def _space(self) -> int:
+        return self.gens
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _new(self, terms: dict, other=None) -> "GrassmannElem":
+        elem = super()._new(terms)
+        elem.gens = self.gens
+        return elem
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    _key_product = staticmethod(_merge_monomials)
+
+    @staticmethod
+    def _sort_key(mono: tuple[int, ...]):
+        return len(mono), mono
+
+    @staticmethod
+    def _key_text(mono: tuple[int, ...]) -> str:
+        return "^".join(f"e{g}" for g in mono)
 
     def is_even(self) -> bool:
         return all(len(m) % 2 == 0 for m in self.terms)
 
     def is_odd(self) -> bool:
         return all(len(m) % 2 == 1 for m in self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GrassmannElem)
-            and self.gens == other.gens
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "GrassmannElem") -> "GrassmannElem":
-        self._require_same(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        return self._wrap(out)
-
-    def __neg__(self) -> "GrassmannElem":
-        return self._wrap({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "GrassmannElem") -> "GrassmannElem":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return self._wrap(
-                {} if not c else {m: c * cf for m, cf in self.terms.items()}
-            )
-        self._require_same(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono, sign = _merge_monomials(m1, m2)
-                if not sign:
-                    continue
-                acc = out.get(mono, Fraction(0)) + sign * c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        return self._wrap(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def _wrap(self, terms: dict) -> "GrassmannElem":
-        elem = GrassmannElem.__new__(GrassmannElem)
-        elem.gens = self.gens
-        elem.terms = terms
-        return elem
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            coeff = self.terms[mono]
-            body = "^".join(f"e{g}" for g in mono)
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 class M11:
@@ -312,22 +242,15 @@ def random_w(gens: int, rng: random.Random) -> M11:
     def coeff() -> Fraction:
         return Fraction(rng.randint(-3, 3))
 
-    def even_entry() -> GrassmannElem:
-        terms: dict[tuple[int, ...], Fraction] = {(): coeff()}
-        for _ in range(2):
-            mono = tuple(sorted(rng.sample(range(1, gens + 1), 2)))
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff()
-        return GrassmannElem(gens, {m: c for m, c in terms.items() if c})
+    def entry(sizes) -> GrassmannElem:
+        pairs = [
+            (tuple(sorted(rng.sample(range(1, gens + 1), size))), coeff())
+            for size in sizes
+        ]
+        return GrassmannElem(gens, accumulate(pairs))
 
-    def odd_entry() -> GrassmannElem:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for size in (1, 1, 3):
-            mono = tuple(sorted(rng.sample(range(1, gens + 1), size)))
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff()
-        return GrassmannElem(gens, {m: c for m, c in terms.items() if c})
-
-    diag = even_entry()
-    return M11(diag, odd_entry(), odd_entry(), diag)
+    diag = entry((0, 2, 2))
+    return M11(diag, entry((1, 1, 3)), entry((1, 1, 3)), diag)
 
 
 def _eval_c3(ws: list[M11]) -> M11:
@@ -358,8 +281,11 @@ def check_identity(f, samples: int = 100, gens: int = 12, seed: int = 0):
     commutator, not an identity), or a linear combination mapping
     arrays to coefficients.  Returns ``None`` when every sample
     vanishes, else ``(sample_index, matrices)`` for the first
-    counterexample.
+    counterexample.  ``samples`` must be positive: zero samples would
+    vanish on any ``f``.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if isinstance(f, str):
         if f not in _IDENTITY_EVAL:
             raise ValueError(f"unknown identity name: {f!r}")

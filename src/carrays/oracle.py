@@ -18,32 +18,26 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from .carray import TwoRowArray, array
+from .sparse import Sparse, accumulate
 
 Token = tuple[str, int]
 Monomial = tuple[Token, ...]
 
 
-class Poly:
+class Poly(Sparse):
     """Sparse multivariate polynomial over the rationals.
 
     Monomials are sorted tuples of variable tokens with repetition;
     zero coefficients are never stored, so equality is dict equality.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c:
-                mono = tuple(sorted(mono))
-                acc = clean.get(mono, Fraction(0)) + c
-                if acc:
-                    clean[mono] = acc
-                else:
-                    clean.pop(mono, None)
-        self.terms = clean
+        self.terms = accumulate(
+            (tuple(sorted(mono)), Fraction(coeff))
+            for mono, coeff in (terms or {}).items()
+        )
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -57,80 +51,16 @@ class Poly:
     def variable(cls, token: Token) -> "Poly":
         return cls({(token,): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _key_product(m1: Monomial, m2: Monomial) -> tuple[Monomial, int]:
+        return tuple(sorted(m1 + m2)), 1
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        result = Poly.__new__(Poly)
-        result.terms = out
-        return result
-
-    def __neg__(self) -> "Poly":
-        result = Poly.__new__(Poly)
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                acc = out.get(mono, Fraction(0)) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        result = Poly.__new__(Poly)
-        result.terms = out
-        return result
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
-        return NotImplemented
-
-    def _scaled(self, c: Fraction) -> "Poly":
-        result = Poly.__new__(Poly)
-        result.terms = {} if not c else {m: c * cf for m, cf in self.terms.items()}
-        return result
+    @staticmethod
+    def _key_text(mono: Monomial) -> str:
+        return "*".join(f"{name}{index}" for name, index in mono)
 
     def monomials(self) -> list[Monomial]:
         return sorted(self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in self.monomials():
-            coeff = self.terms[mono]
-            body = "*".join(f"{name}{index}" for name, index in mono)
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def _multilinear_word(s: TwoRowArray) -> list[int]:
@@ -158,13 +88,7 @@ def q_poly(s: TwoRowArray) -> Poly:
     _multilinear_word(s)
     result = Poly.constant(1)
     for a, b in s:
-        factor = Poly(
-            {
-                tuple(sorted((("U", a), ("U", b)))): Fraction(1),
-                tuple(sorted((("V", a), ("V", b)))): Fraction(1),
-            }
-        )
-        result = result * factor
+        result = result * Poly({(("U", a), ("U", b)): 1, (("V", a), ("V", b)): 1})
     return result
 
 
@@ -175,13 +99,7 @@ def p_poly(s: TwoRowArray) -> Poly:
     _multilinear_word(s)
     result = Poly.constant(1)
     for a, b in s:
-        factor = Poly(
-            {
-                tuple(sorted((("U", a), ("V", b)))): Fraction(1),
-                tuple(sorted((("U", b), ("V", a)))): Fraction(1),
-            }
-        )
-        result = result * factor
+        result = result * Poly({(("U", a), ("V", b)): 1, (("U", b), ("V", a)): 1})
     return result
 
 

@@ -28,39 +28,34 @@ from itertools import combinations, product
 from math import comb, factorial
 from typing import Iterable
 
+from .sparse import Sparse, accumulate
 from .tableaux import enumerate_ssyt, shape as validate_shape, trim_content
 
 Exponents = tuple[int, ...]
 
 
-class SymPoly:
+class SymPoly(Sparse):
     """Exact polynomial in ``t1..tk`` truncated at a total degree.
 
     ``maxdeg`` is ``None`` for untruncated values; arithmetic truncates
     to the smaller of the operands' bounds.
     """
 
-    __slots__ = ("nvars", "maxdeg", "terms")
+    __slots__ = ("nvars", "maxdeg")
+
+    _SPACE_NAME = "variable counts"
 
     def __init__(self, nvars: int, terms=None, maxdeg: int | None = None):
         self.nvars = int(nvars)
         self.maxdeg = maxdeg
-        clean: dict[Exponents, Fraction] = {}
+        pairs = []
         for expo, coeff in (terms or {}).items():
             expo = tuple(int(e) for e in expo)
             if len(expo) != self.nvars or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent vector: {expo}")
-            if maxdeg is not None and sum(expo) > maxdeg:
-                continue
-            c = Fraction(coeff)
-            if not c:
-                continue
-            acc = clean.get(expo, Fraction(0)) + c
-            if acc:
-                clean[expo] = acc
-            else:
-                clean.pop(expo, None)
-        self.terms = clean
+            if maxdeg is None or sum(expo) <= maxdeg:
+                pairs.append((expo, Fraction(coeff)))
+        self.terms = accumulate(pairs)
 
     @classmethod
     def zero(cls, nvars: int, maxdeg: int | None = None) -> "SymPoly":
@@ -74,84 +69,39 @@ class SymPoly:
     def monomial(cls, nvars: int, exponents, coeff=1) -> "SymPoly":
         return cls(nvars, {tuple(exponents): Fraction(coeff)})
 
-    @staticmethod
-    def _combine_maxdeg(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
+    def _space(self) -> int:
+        return self.nvars
 
-    def _require_same_vars(self, other: "SymPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable counts differ: {self.nvars} vs {other.nvars}")
+    def _new(self, terms: dict, other: "SymPoly | None" = None) -> "SymPoly":
+        """Truncate to ``maxdeg``, the smaller bound of the two operands."""
+        maxdeg = self.maxdeg
+        if other is not None and other.maxdeg is not None:
+            maxdeg = other.maxdeg if maxdeg is None else min(maxdeg, other.maxdeg)
+        if maxdeg is not None:
+            terms = {e: c for e, c in terms.items() if sum(e) <= maxdeg}
+        result = super()._new(terms)
+        result.nvars, result.maxdeg = self.nvars, maxdeg
+        return result
+
+    @staticmethod
+    def _key_product(e1: Exponents, e2: Exponents) -> tuple[Exponents, int]:
+        return tuple(a + b for a, b in zip(e1, e2)), 1
+
+    @staticmethod
+    def _sort_key(expo: Exponents):
+        return sum(expo), expo
+
+    @staticmethod
+    def _key_text(expo: Exponents) -> str:
+        return "*".join(
+            f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(expo) if e
+        )
 
     def truncate(self, maxdeg: int) -> "SymPoly":
         return SymPoly(self.nvars, self.terms, maxdeg=maxdeg)
 
     def coefficient(self, exponents) -> Fraction:
         return self.terms.get(tuple(exponents), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        self._require_same_vars(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = out.get(expo, Fraction(0)) + coeff
-            if acc:
-                out[expo] = acc
-            else:
-                out.pop(expo, None)
-        return SymPoly(
-            self.nvars, out, maxdeg=self._combine_maxdeg(self.maxdeg, other.maxdeg)
-        )
-
-    def __neg__(self) -> "SymPoly":
-        return SymPoly(
-            self.nvars, {e: -c for e, c in self.terms.items()}, maxdeg=self.maxdeg
-        )
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymPoly(
-                self.nvars,
-                {e: Fraction(other) * c for e, c in self.terms.items()},
-                maxdeg=self.maxdeg,
-            )
-        self._require_same_vars(other)
-        bound = self._combine_maxdeg(self.maxdeg, other.maxdeg)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                if bound is not None and sum(expo) > bound:
-                    continue
-                acc = out.get(expo, Fraction(0)) + c1 * c2
-                if acc:
-                    out[expo] = acc
-                else:
-                    out.pop(expo, None)
-        return SymPoly(self.nvars, out, maxdeg=bound)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def substitute_squares(self) -> "SymPoly":
         """Replace every variable by its square."""
@@ -161,27 +111,6 @@ class SymPoly:
             {tuple(2 * e for e in expo): c for expo, c in self.terms.items()},
             maxdeg=bound,
         )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coeff = self.terms[expo]
-            body = "*".join(
-                f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}"
-                for i, e in enumerate(expo)
-                if e
-            )
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def elementary_symmetric(i: int, k: int) -> SymPoly:

@@ -1,0 +1,127 @@
+"""Exact sparse combinations: the one place that stores, adds and
+cancels terms.
+
+A combination is a dict from keys (monomials, exponent vectors, arrays)
+to nonzero coefficients; a coefficient that cancels is removed, so two
+combinations are equal exactly when their dicts are.  ``accumulate`` is
+the add-and-cancel step every combination in the package goes through.
+``Sparse`` is the arithmetic shared by ``Poly``, ``SymPoly`` and
+``GrassmannElem``; a subclass says only how its constructor validates,
+which space its elements live in, how two keys multiply and how a key
+sorts and prints.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def accumulate(pairs, into=None) -> dict:
+    """Add ``(key, coeff)`` pairs into ``into`` (a new dict when it is
+    ``None``) and drop every key whose coefficient cancels to zero."""
+    out = {} if into is None else into
+    get = out.get
+    for key, coeff in pairs:
+        old = get(key)
+        if old is not None:
+            coeff = old + coeff
+        if coeff:
+            out[key] = coeff
+        elif old is not None:
+            del out[key]
+    return out
+
+
+class Sparse:
+    """Exact linear combination of keys with nonzero ``Fraction``
+    coefficients in ``terms``.
+
+    Subclasses supply ``_key_product(k1, k2) -> (key, sign)`` with sign
+    ``1``, ``-1``, or ``0`` when the product vanishes, plus ``_sort_key``
+    and ``_key_text`` for printing.  Those living in a space (a number
+    of variables or generators) override ``_space``, ``_SPACE_NAME``
+    and ``_new``.
+    """
+
+    __slots__ = ("terms",)
+
+    _SPACE_NAME = ""
+    _sort_key = None
+
+    def _space(self):
+        """What two operands must share; elements of different spaces
+        neither compare equal nor combine."""
+        return None
+
+    def _require_same(self, other: "Sparse") -> None:
+        if self._space() != other._space():
+            raise ValueError(
+                f"{self._SPACE_NAME} differ: {self._space()} vs {other._space()}"
+            )
+
+    def _new(self, terms: dict, other: "Sparse | None" = None) -> "Sparse":
+        """Wrap already clean ``terms`` as a result of an operation on
+        ``self`` (and ``other``, for a binary one)."""
+        result = object.__new__(type(self))
+        result.terms = terms
+        return result
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._space() == other._space()
+            and self.terms == other.terms
+        )
+
+    def __add__(self, other):
+        self._require_same(other)
+        return self._new(accumulate(other.terms.items(), dict(self.terms)), other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            return self._new({k: c * cf for k, cf in self.terms.items()} if c else {})
+        self._require_same(other)
+        product = self._key_product
+        pairs = (
+            (key, c1 * c2 if sign > 0 else -(c1 * c2))
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
+            for key, sign in (product(k1, k2),)
+            if sign
+        )
+        return self._new(accumulate(pairs), other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, key=self._sort_key):
+            coeff = self.terms[key]
+            body = self._key_text(key)
+            if not body:
+                parts.append(str(coeff))
+            elif coeff == 1:
+                parts.append(body)
+            elif coeff == -1:
+                parts.append(f"-{body}")
+            else:
+                parts.append(f"{coeff}*{body}")
+        return " + ".join(parts).replace("+ -", "- ")

@@ -36,6 +36,7 @@ from .carray import (
     ordering_key,
     star,
 )
+from .sparse import accumulate
 
 LinComb = dict[TwoRowArray, Fraction]
 
@@ -54,14 +55,11 @@ def _solve_triple(cur: TwoRowArray, triple: tuple[int, int, int]) -> LinComb:
     rest = tuple(col for k, col in enumerate(cur) if k not in triple)
     tops = tuple(a for a, _ in u)
     bottoms = tuple(b for _, b in u)
-    collected: dict[TwoRowArray, int] = {}
-    for arranged in set(permutations(bottoms)):
-        sign, carr = normalize(tuple(zip(tops, arranged)))
-        if sign == 0:
-            continue
-        collected[carr] = collected.get(carr, 0) + sign
-        if collected[carr] == 0:
-            del collected[carr]
+    signed = (
+        normalize(tuple(zip(tops, arranged)))
+        for arranged in set(permutations(bottoms))
+    )
+    collected = accumulate((carr, sign) for sign, carr in signed if sign)
     pivot = collected.pop(u)
     assert pivot in (1, 2), f"unexpected pivot coefficient {pivot} for {u}"
     out: LinComb = {}
@@ -90,13 +88,9 @@ def straighten(s: TwoRowArray) -> LinComb:
         cur = offending[0]
         coeff = terms.pop(cur)
         triple = _first_weak_triple(cur)
-        for repl, weight in _solve_triple(cur, triple).items():
-            assert compare(repl, cur) > 0
-            new = terms.get(repl, Fraction(0)) + coeff * weight
-            if new:
-                terms[repl] = new
-            else:
-                terms.pop(repl, None)
+        replacements = _solve_triple(cur, triple)
+        assert all(compare(repl, cur) > 0 for repl in replacements)
+        accumulate(((repl, coeff * w) for repl, w in replacements.items()), terms)
     assert all(is_normal(t) for t in terms)
     return terms
 
@@ -106,16 +100,12 @@ def lincomb_multiply(l1: LinComb, l2: LinComb) -> LinComb:
 
     Terms whose merged content puts a value more than twice vanish.
     """
-    out: LinComb = {}
-    for s1, c1 in l1.items():
-        for s2, c2 in l2.items():
-            for t, c in straighten(star(s1, s2)).items():
-                new = out.get(t, Fraction(0)) + c1 * c2 * c
-                if new:
-                    out[t] = new
-                else:
-                    out.pop(t, None)
-    return out
+    return accumulate(
+        (t, c1 * c2 * c)
+        for s1, c1 in l1.items()
+        for s2, c2 in l2.items()
+        for t, c in straighten(star(s1, s2)).items()
+    )
 
 
 def multilinearize(s: TwoRowArray) -> list[TwoRowArray]:

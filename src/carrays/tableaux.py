@@ -91,15 +91,18 @@ def is_d_tableau(t: Tableau) -> bool:
     return is_double_shape(shape_of(t)) and is_semistandard_english(t)
 
 
-def content_of(t: Tableau) -> Content:
-    t = tableau(t)
-    entries = [x for row in t for x in row]
+def count_content(entries: list[int]) -> Content:
+    """Content vector of a list of positive integers."""
     if not entries:
         return ()
     counts = [0] * max(entries)
     for x in entries:
         counts[x - 1] += 1
     return tuple(counts)
+
+
+def content_of(t: Tableau) -> Content:
+    return count_content([x for row in tableau(t) for x in row])
 
 
 def trim_content(content) -> Content:
@@ -174,7 +177,18 @@ def tableau_to_json(t: Tableau) -> dict:
     return {"rows": [list(row) for row in t]}
 
 
+def json_integers(value, what: str) -> list[int]:
+    """A JSON list of integers, as parsed; anything else (a float, a
+    boolean, a scalar in place of the list) raises ``ValueError``."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers: {value!r}")
+    return value
+
+
 def tableau_from_json(payload: dict) -> Tableau:
     if not isinstance(payload, dict) or "rows" not in payload:
         raise ValueError("tableau JSON must be an object with a 'rows' key")
-    return tableau(payload["rows"])
+    rows = payload["rows"]
+    if not isinstance(rows, list):
+        raise ValueError(f"tableau rows must be a list: {rows!r}")
+    return tableau(json_integers(row, "a tableau row") for row in rows)

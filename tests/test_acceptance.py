@@ -6,13 +6,16 @@ from carrays.acceptance import ALL_CHECKS, CHECK_IDS
 
 
 @pytest.mark.parametrize(
-    "check", ALL_CHECKS, ids=[check.__name__ for check in ALL_CHECKS]
+    "check, check_id",
+    zip(ALL_CHECKS, CHECK_IDS),
+    ids=[check.__name__ for check in ALL_CHECKS],
 )
-def test_criterion(check, capsys):
+def test_criterion(check, check_id, capsys):
     result = check()
     with capsys.disabled():
         status = "PASS" if result.passed else "FAIL"
         print(f"\n{status}  {result.check_id:32}  {result.detail}")
+    assert result.check_id == check_id
     assert result.passed, f"{result.check_id}: {result.detail}"
 
 

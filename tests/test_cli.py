@@ -174,6 +174,42 @@ def test_bad_input_exits_2(capsys, monkeypatch):
     assert "error" in err and "usage" in err
 
 
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["classify", "--json"], '{"top": [2.7, 3.9], "bottom": [1.2, true]}'),
+        (["classify", "--json"], '{"top": [2, 4], "bottom": [1, true]}'),
+        (["classify", "--json"], '{"top": 5, "bottom": 3}'),
+        (["convert", "--to", "carray", "--json"], '{"rows": [[1, 3.0], [2, 4]]}'),
+        (["convert", "--to", "carray", "--json"], '{"rows": [[1, 3], 5]}'),
+        (["convert", "--to", "carray", "--json"], '{"rows": 5}'),
+    ],
+    ids=[
+        "floats",
+        "bool",
+        "scalar-rows",
+        "tableau-float",
+        "tableau-scalar-row",
+        "tableau-scalar-rows",
+    ],
+)
+def test_bad_json_input_exits_2(capsys, monkeypatch, argv, payload):
+    code, out, err = run_cli(capsys, monkeypatch, argv, payload)
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "usage" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_rejects_nonpositive_samples(capsys, monkeypatch, samples):
+    code, out, err = run_cli(
+        capsys, monkeypatch, ["verify", "--identity", "c2", "--samples", samples]
+    )
+    assert code == 2
+    assert "ok" not in out
+    assert "samples must be at least 1" in err
+
+
 def test_unknown_subcommand_exits_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         run_cli(capsys, monkeypatch, ["frobnicate"])
@@ -181,11 +217,16 @@ def test_unknown_subcommand_exits_2(capsys, monkeypatch):
 
 
 def test_selftest_reports_every_check(capsys, monkeypatch):
+    checks = [
+        lambda: acceptance.CheckResult("1-stub-pass", True, "fine"),
+        lambda: acceptance.CheckResult("2-stub-fail", False, "witness"),
+    ]
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
     code, out, _ = run_cli(capsys, monkeypatch, ["selftest"])
-    lines = out.splitlines()
-    assert lines[0].startswith("carrays selftest")
-    for check_id in acceptance.CHECK_IDS:
-        assert any(check_id in line for line in lines)
-    failures = sum(1 for line in lines if line.startswith("FAIL"))
-    assert code == (0 if failures == 0 else 1)
-    assert lines[-1].endswith("checks passed")
+    assert code == 1
+    assert out.splitlines() == [
+        f"carrays selftest (grassmann seed={acceptance.GRASSMANN_SEED})",
+        f"PASS  {'1-stub-pass':32}  fine",
+        f"FAIL  {'2-stub-fail':32}  witness",
+        "1/2 checks passed",
+    ]

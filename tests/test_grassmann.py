@@ -33,6 +33,19 @@ def test_wedge_basic():
 def test_wedge_generator_mismatch():
     with pytest.raises(ValueError):
         e(4, 1) * e(5, 1)
+    with pytest.raises(ValueError):
+        e(4, 1) + e(5, 1)
+
+
+def test_grassmann_repr():
+    x = GrassmannElem(
+        4, {(1, 2): -1, (): 2, (3,): Fraction(1, 2), (1, 2, 4): 1, (2,): -3}
+    )
+    assert repr(x) == "2 - 3*e2 + 1/2*e3 - e1^e2 + e1^e2^e4"
+    assert repr(x - x) == "0" and (x - x).terms == {}
+    assert repr(random_w(4, random.Random(1))) == (
+        "[[-2 - 3*e1^e2, -3*e2 + 3*e4], [2*e1 - e4 - e1^e2^e3, -2 - 3*e1^e2]]"
+    )
 
 
 def test_parity():

@@ -13,6 +13,7 @@ from carrays.oracle import (
     phi,
     q_poly,
 )
+from carrays.series import SymPoly
 from carrays.straighten import multilinearize
 
 
@@ -154,9 +155,13 @@ def test_poly_arithmetic():
     y = Poly.variable(_v(1))
     assert (x + y) * (x - y) == x * x - y * y
     assert (x - x).is_zero()
+    assert (x + (-x)).terms == {}
     assert 2 * x == x + x
     assert repr(Poly.zero()) == "0"
     assert repr(x * x + 2 * y) == "U1*U1 + 2*V1"
+    # equal terms in different classes are different values
+    assert Poly.constant(1).terms == SymPoly.constant(0, 1).terms
+    assert Poly.constant(1) != SymPoly.constant(0, 1)
 
 
 def test_phi_after_multilinearization_is_label_consistent():

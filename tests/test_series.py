@@ -147,6 +147,9 @@ def test_sympoly_truncation():
     truncated = x.truncate(6)
     assert (truncated * truncated).is_zero()
     assert x.truncate(4).is_zero()
+    assert (x - x).terms == {}
+    with pytest.raises(ValueError):
+        x + SymPoly.monomial(2, (1, 0))
 
 
 def test_sympoly_repr():
