@@ -32,8 +32,10 @@ def carray_to_dtableau(s: TwoRowArray) -> Tableau:
         else:
             rows[i] = rows[i] + (a,)
         t = tuple(rows)
-    assert is_d_tableau(t), f"bijection produced a non-d-tableau: {t}"
-    assert content_of(t) == array_content(s)
+    if not is_d_tableau(t):
+        raise RuntimeError(f"bijection produced a non-d-tableau: {t}")
+    if content_of(t) != array_content(s):
+        raise RuntimeError(f"bijection changed the content: {s} -> {t}")
     return t
 
 
@@ -49,14 +51,16 @@ def dtableau_to_carray(t: Tableau) -> TwoRowArray:
             ((i, j) for i, row in enumerate(t) for j, v in enumerate(row) if v == x),
             key=lambda ij: ij[1],
         )
-        assert i0 >= 1, "maximal entry cannot sit in the first row of a pair"
-        assert len(t[i0]) == j0 + 1, "maximal entry must close its row"
-        assert len(t[i0 - 1]) == j0 + 1, "paired rows must have equal length"
+        if i0 < 1:
+            raise RuntimeError("maximal entry cannot sit in the first row of a pair")
+        if len(t[i0]) != j0 + 1:
+            raise RuntimeError("maximal entry must close its row")
+        if len(t[i0 - 1]) != j0 + 1:
+            raise RuntimeError("paired rows must have equal length")
         t2, y = delete(t, i0 + 1)
         rows = list(t2)
-        assert rows[i0 - 1][-1] == x and len(rows[i0 - 1]) == j0 + 1, (
-            "bumped maximum did not land on the paired corner"
-        )
+        if rows[i0 - 1][-1] != x or len(rows[i0 - 1]) != j0 + 1:
+            raise RuntimeError("bumped maximum did not land on the paired corner")
         rows[i0 - 1] = rows[i0 - 1][:-1]
         while rows and not rows[-1]:
             rows.pop()
@@ -64,7 +68,8 @@ def dtableau_to_carray(t: Tableau) -> TwoRowArray:
         cols.append((x, y))
     cols.reverse()
     s = tuple(cols)
-    assert is_c_array(s), f"bijection produced a non-c-array: {s}"
+    if not is_c_array(s):
+        raise RuntimeError(f"bijection produced a non-c-array: {s}")
     return s
 
 

@@ -67,15 +67,23 @@ def has_bounded_multiplicity(s: TwoRowArray) -> bool:
 
 
 def has_no_weak_bottom_triple(s: TwoRowArray) -> bool:
-    """No columns r < s < t with weakly increasing bottom entries."""
-    b = [bb for _, bb in s]
-    m = len(b)
-    for r in range(m):
-        for mid in range(r + 1, m):
-            if b[r] <= b[mid]:
-                for t in range(mid + 1, m):
-                    if b[mid] <= b[t]:
-                        return False
+    """No columns r < s < t with weakly increasing bottom entries.
+
+    Equivalently, the longest weakly increasing subsequence of the
+    bottom row has length at most 2 (the first-row statistic of
+    :mod:`carrays.bijection`).  Patience sorting with two piles tests
+    this in one pass: ``low`` is the smallest entry seen, ``high`` the
+    smallest entry that ends a weakly increasing pair; an entry at
+    least ``high`` closes a triple.
+    """
+    low = high = None
+    for _, b in s:
+        if high is not None and b >= high:
+            return False
+        if low is not None and b >= low:
+            high = b
+        else:
+            low = b
     return True
 
 
@@ -118,7 +126,11 @@ def normalize(s: TwoRowArray) -> tuple[int, TwoRowArray | None]:
     some column repeats a value (the commutator of a variable with
     itself vanishes).  Column sorting is stable and carries no sign.
     """
-    s = array(s)
+    return _normalize(array(s))
+
+
+def _normalize(s: TwoRowArray) -> tuple[int, TwoRowArray | None]:
+    """:func:`normalize` on an array already known to be valid."""
     sign = 1
     cols = []
     for a, b in s:
@@ -133,8 +145,7 @@ def normalize(s: TwoRowArray) -> tuple[int, TwoRowArray | None]:
 
 
 def ordering_key(s: TwoRowArray):
-    top, bottom = array_rows(s)
-    return tuple(reversed(top)) + bottom
+    return tuple([a for a, _ in reversed(s)] + [b for _, b in s])
 
 
 def compare(s1: TwoRowArray, s2: TwoRowArray) -> int:
@@ -150,8 +161,11 @@ def compare(s1: TwoRowArray, s2: TwoRowArray) -> int:
 
 def star(s1: TwoRowArray, s2: TwoRowArray) -> TwoRowArray:
     """Merge two c-arrays into the column-sorted c-array of their product."""
-    s1 = _require_c_array(s1)
-    s2 = _require_c_array(s2)
+    return _star(_require_c_array(s1), _require_c_array(s2))
+
+
+def _star(s1: TwoRowArray, s2: TwoRowArray) -> TwoRowArray:
+    """:func:`star` on two arrays already known to be c-arrays."""
     return tuple(sorted(s1 + s2))
 
 

@@ -67,7 +67,8 @@ def delete(t: Tableau, i: int) -> tuple[Tableau, int]:
     for h in range(i - 2, -1, -1):
         row = rows[h]
         j = bisect_left(row, x) - 1
-        assert j >= 0, "bumping path broke; input was not semistandard"
+        if j < 0:
+            raise RuntimeError("bumping path broke; input was not semistandard")
         row[j], x = x, row[j]
     if rows and not rows[-1]:
         rows.pop()

@@ -13,26 +13,47 @@ modulo three facts about products of commutators:
   entries (tops fixed in place) vanishes.
 
 The last relation, applied to the lexicographically first offending
-column triple of the least offending term, lets the term be solved for
-in terms of strictly larger arrays; after collecting like terms its
-coefficient in the relation is 1 or 2, so all divisions are by 1 or 2
-and stay exact.  Every rewriting step strictly increases the total
-order on arrays, which forces termination.
+column triple of a term, lets the term be solved for in terms of
+strictly larger arrays; after collecting like terms its coefficient in
+the relation is 1 or 2, so all divisions are by 1 or 2 and stay exact.
+
+The rewriting loop keeps a heap of the offending live terms keyed by
+``ordering_key`` and always rewrites the least one.  A term is pushed
+when it enters the combination and is not normal; an entry whose term
+has since cancelled is skipped when it is popped.  Every step strictly
+increases the total order on arrays, which forces termination and means
+a rewritten term never returns.  Normality of a c-array whose values
+occur at most twice is one pass over its bottom row: no weakly
+increasing triple means a longest weakly increasing subsequence of
+length at most 2, tested by two-pile patience sorting
+(``carray.has_no_weak_bottom_triple``).
+
+Which offending term and triple a step rewrites does not change the
+result: the normal arrays are linearly independent (acceptance check 7
+proves it through the polynomial oracle), so every complete rewriting
+reaches the same combination.  The fixed choice only makes the steps,
+and so the statistics, deterministic.
+
+Outside input is validated once, by ``straighten`` itself; the loop
+uses the unchecked cores of ``normalize`` and ``star``.  The pivot
+value, the order increase and the normality of the result are checked
+with explicit raises, which ``python -O`` keeps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, permutations, product
 
 from .carray import (
     TwoRowArray,
+    _normalize,
+    _star,
     array,
     array_content,
-    compare,
     has_no_weak_bottom_triple,
     is_normal,
-    normalize,
     ordering_key,
     star,
 )
@@ -56,42 +77,67 @@ def _solve_triple(cur: TwoRowArray, triple: tuple[int, int, int]) -> LinComb:
     tops = tuple(a for a, _ in u)
     bottoms = tuple(b for _, b in u)
     signed = (
-        normalize(tuple(zip(tops, arranged)))
+        _normalize(tuple(zip(tops, arranged)))
         for arranged in set(permutations(bottoms))
     )
     collected = accumulate((carr, sign) for sign, carr in signed if sign)
     pivot = collected.pop(u)
-    assert pivot in (1, 2), f"unexpected pivot coefficient {pivot} for {u}"
+    if pivot not in (1, 2):
+        raise RuntimeError(f"unexpected pivot coefficient {pivot} for {u}")
+    u_key = ordering_key(u)
     out: LinComb = {}
     for carr, weight in collected.items():
-        assert compare(carr, u) > 0, "rewriting must strictly increase the order"
-        out[star(carr, rest)] = Fraction(-weight, pivot)
+        if ordering_key(carr) <= u_key:
+            raise RuntimeError(
+                f"rewriting {u} must strictly increase the order, got {carr}"
+            )
+        out[_star(carr, rest)] = Fraction(-weight, pivot)
     return out
 
 
-def straighten(s: TwoRowArray) -> LinComb:
-    """Rewrite an arbitrary array as a combination of normal c-arrays."""
+def straighten(s: TwoRowArray, stats: dict | None = None) -> LinComb:
+    """Rewrite an arbitrary array as a combination of normal c-arrays.
+
+    When ``stats`` is a dict, it receives ``steps`` (rewriting steps
+    taken), ``peak_terms`` (the most live terms at any time) and
+    ``max_den`` (the largest denominator in the result).
+    """
     s = array(s)
-    sign, carr = normalize(s)
-    if sign == 0:
-        return {}
-    if any(n > 2 for n in array_content(carr)):
-        return {}
-    terms: LinComb = {carr: Fraction(sign)}
-    while True:
-        offending = sorted(
-            (t for t in terms if not has_no_weak_bottom_triple(t)),
-            key=ordering_key,
-        )
-        if not offending:
-            break
-        cur = offending[0]
-        coeff = terms.pop(cur)
-        triple = _first_weak_triple(cur)
-        replacements = _solve_triple(cur, triple)
-        assert all(compare(repl, cur) > 0 for repl in replacements)
+    sign, carr = _normalize(s)
+    if sign == 0 or any(n > 2 for n in array_content(carr)):
+        terms: LinComb = {}
+    else:
+        terms = {carr: Fraction(sign)}
+    # the least offending live term sits on top; entries whose term has
+    # since cancelled are stale and skipped
+    worklist = [
+        (ordering_key(t), t) for t in terms if not has_no_weak_bottom_triple(t)
+    ]
+    steps = 0
+    peak = len(terms)
+    while worklist:
+        key, cur = heappop(worklist)
+        coeff = terms.pop(cur, None)
+        if coeff is None:
+            continue
+        steps += 1
+        replacements = _solve_triple(cur, _first_weak_triple(cur))
+        for repl in replacements:
+            repl_key = ordering_key(repl)
+            if repl_key <= key:
+                raise RuntimeError(
+                    f"rewriting {cur} must strictly increase the order, got {repl}"
+                )
+            if repl not in terms and not has_no_weak_bottom_triple(repl):
+                heappush(worklist, (repl_key, repl))
         accumulate(((repl, coeff * w) for repl, w in replacements.items()), terms)
-    assert all(is_normal(t) for t in terms)
+        peak = max(peak, len(terms))
+    if not all(is_normal(t) for t in terms):
+        raise RuntimeError(f"straightening left a non-normal term: {terms}")
+    if stats is not None:
+        stats["steps"] = steps
+        stats["peak_terms"] = peak
+        stats["max_den"] = max((c.denominator for c in terms.values()), default=1)
     return terms
 
 

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +12,7 @@ from carrays.carray import (
     compare,
     enumerate_carrays,
     enumerate_normal,
+    has_no_weak_bottom_triple,
     is_c_array,
     is_normal,
     normalize,
@@ -65,6 +66,19 @@ def test_star():
     assert star(((2, 1),), ()) == ((2, 1),)
     with pytest.raises(ValueError):
         star(((1, 2),), ())
+
+
+def test_weak_triple_scan_matches_brute_force():
+    # every bottom row of length <= 7 on the values 1..5; the tops do
+    # not take part
+    for m in range(8):
+        for bottom in product(range(1, 6), repeat=m):
+            s = tuple((6, b) for b in bottom)
+            brute = not any(
+                bottom[r] <= bottom[mid] <= bottom[t]
+                for r, mid, t in combinations(range(m), 3)
+            )
+            assert has_no_weak_bottom_triple(s) == brute, bottom
 
 
 def test_enumerate_normal_multilinear_four():

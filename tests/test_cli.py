@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from carrays import acceptance
+from carrays import acceptance, cli
 from carrays.cli import main
 
 
@@ -76,6 +76,16 @@ def test_straighten_json_output(capsys, monkeypatch):
     ]
 
 
+def test_straighten_stats(capsys, monkeypatch):
+    stdin = "2 4 6\n1 3 5\n"
+    _, plain, plain_err = run_cli(capsys, monkeypatch, ["straighten"], stdin)
+    code, out, err = run_cli(capsys, monkeypatch, ["straighten", "--stats"], stdin)
+    assert code == 0
+    assert out == plain
+    assert plain_err == ""
+    assert err == "steps=2 peak_terms=7 max_den=1\n"
+
+
 def test_enumerate_normal(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, monkeypatch, ["enumerate", "--content", "1,1", "--normal"]
@@ -121,6 +131,25 @@ def test_hilbert_methods_agree(capsys, monkeypatch):
         )
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_hilbert_slowness_warning_follows_k(capsys, monkeypatch):
+    # high degree in few variables is fast and stays silent
+    for method in ("cd", "tableaux", "dims"):
+        code, _, err = run_cli(
+            capsys,
+            monkeypatch,
+            ["hilbert", "--k", "3", "--maxdeg", "20", "--method", method],
+        )
+        assert code == 0
+        assert err == ""
+    # ten variables are slow even at the default degree; the series
+    # itself is stubbed out
+    monkeypatch.setattr(cli, "carini_drensky", lambda k, maxdeg: "stub")
+    code, out, err = run_cli(capsys, monkeypatch, ["hilbert", "--k", "10"])
+    assert code == 0
+    assert out == "stub\n"
+    assert err == "warning: k=10 variables; this may be slow\n"
 
 
 def test_codim(capsys, monkeypatch):

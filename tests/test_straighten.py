@@ -1,13 +1,19 @@
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from carrays.acceptance import DERIVED_FORM_FIXTURES, _phi_after_split
-from carrays.carray import is_normal, ordering_key
-from carrays.oracle import Poly
+from carrays.carray import array_content, is_normal, normalize, ordering_key
+from carrays.oracle import Poly, phi
 from carrays.straighten import (
+    _solve_triple,
     lincomb_multiply,
     lincomb_to_json,
     multilinearize,
@@ -81,51 +87,152 @@ def test_phi_soundness_small_sweep():
             assert lhs == rhs
 
 
+def rescan_straighten(s, last=False):
+    """Test-only reference: the rescan-and-sort rewriting loop.
+
+    Every step re-sorts all offending live terms, found by a brute-force
+    triple scan, and rewrites the least one at its lexicographically
+    first weak triple (with ``last``, the greatest one at its last
+    triple).  Returns the combination, the number of steps and the
+    most live terms at any time.
+    """
+    sign, carr = normalize(s)
+    if sign == 0 or any(n > 2 for n in array_content(carr)):
+        return {}, 0, 0
+    terms = {carr: Fraction(sign)}
+    steps = 0
+    peak = 1
+    while True:
+        offending = sorted(
+            (t for t in terms if weak_triples(t)), key=ordering_key, reverse=last
+        )
+        if not offending:
+            return terms, steps, peak
+        cur = offending[0]
+        coeff = terms.pop(cur)
+        triples = weak_triples(cur)
+        triple = triples[-1] if last else triples[0]
+        for repl, weight in _solve_triple(cur, triple).items():
+            new = terms.get(repl, Fraction(0)) + coeff * weight
+            if new:
+                terms[repl] = new
+            else:
+                terms.pop(repl, None)
+        steps += 1
+        peak = max(peak, len(terms))
+
+
+def weak_triples(s):
+    bottoms = [b for _, b in s]
+    return [
+        (r, s_, t)
+        for r, s_, t in combinations(range(len(s)), 3)
+        if bottoms[r] <= bottoms[s_] <= bottoms[t]
+    ]
+
+
+def seeded_arrays():
+    """Raw arrays of degree 2..10 with 0-2 doubled values, drawn from a
+    fixed seed; no column repeats a value."""
+    rng = random.Random(20020505)
+    arrays = []
+    for m in range(1, 6):
+        for doubled in range(min(2, 2 * m - 2) + 1):
+            n = 2 * m - doubled
+            twice = rng.sample(range(1, n + 1), doubled)
+            items = list(range(1, n + 1)) + twice
+            for _ in range(12):
+                while True:
+                    rng.shuffle(items)
+                    cols = tuple(zip(items[0::2], items[1::2]))
+                    if all(a != b for a, b in cols):
+                        break
+                arrays.append(cols)
+    return arrays
+
+
 def test_triple_choice_does_not_change_result():
     # rewriting from any offending triple must reach the same normal
     # form; compare against a worklist that picks the last triple
-    from itertools import combinations
-
-    from carrays.carray import has_no_weak_bottom_triple, normalize
-    from carrays.straighten import _solve_triple
-
-    def straighten_last_triple(s):
-        sign, carr = normalize(s)
-        if sign == 0:
-            return {}
-        from carrays.carray import array_content
-
-        if any(n > 2 for n in array_content(carr)):
-            return {}
-        terms = {carr: Fraction(sign)}
-        while True:
-            offending = sorted(
-                (t for t in terms if not has_no_weak_bottom_triple(t)),
-                key=ordering_key,
-                reverse=True,
-            )
-            if not offending:
-                return terms
-            cur = offending[0]
-            coeff = terms.pop(cur)
-            bottoms = [b for _, b in cur]
-            triple = [
-                (r, s_, t)
-                for r, s_, t in combinations(range(len(cur)), 3)
-                if bottoms[r] <= bottoms[s_] <= bottoms[t]
-            ][-1]
-            for repl, weight in _solve_triple(cur, triple).items():
-                new = terms.get(repl, Fraction(0)) + coeff * weight
-                if new:
-                    terms[repl] = new
-                else:
-                    terms.pop(repl, None)
-
     for word in product(range(1, 5), repeat=6):
         if any(n > 2 for n in Counter(word).values()):
             continue
         s = tuple(zip(word[0::2], word[1::2]))
-        assert straighten(s) == straighten_last_triple(s)
+        assert straighten(s) == rescan_straighten(s, last=True)[0]
+
+
+def test_worklist_matches_rescan_reference():
+    for s in seeded_arrays():
+        stats = {}
+        result = straighten(s, stats)
+        expected, steps, peak = rescan_straighten(s)
+        assert result == expected, s
+        assert stats["steps"] == steps, s
+        assert stats["peak_terms"] == peak, s
+        assert stats["max_den"] == max(
+            (c.denominator for c in result.values()), default=1
+        ), s
+
+
+def test_stats_on_trivial_inputs():
+    stats = {}
+    assert straighten(((2, 2),), stats) == {}
+    assert stats == {"steps": 0, "peak_terms": 0, "max_den": 1}
+    assert straighten(((1, 2),), stats) == {((2, 1),): -1}
+    assert stats == {"steps": 0, "peak_terms": 1, "max_den": 1}
+
+
+def test_degree_14_increasing_bottom():
+    # every column triple offends: the slowest multilinear array of
+    # its degree
+    s = tuple((2 * i, 2 * i - 1) for i in range(1, 8))
+    result = straighten(s)
+    assert len(result) == 772
+    assert all(is_normal(t) for t in result)
+    assert all(array_content(t) == array_content(s) for t in result)
+    lhs = Counter(multilinearize(s))
+    rhs = {}
+    for term, coeff in result.items():
+        for t in multilinearize(term):
+            rhs[t] = rhs.get(t, 0) + coeff
+    assert phi(lhs) == phi(rhs)
+
+
+def test_result_guards_survive_optimize():
+    # the guards on returned results are explicit raises, so python -O
+    # keeps them: a broken bumping step and an order-decreasing rewrite
+    # must still be caught
+    code = """
+import importlib
+import sys
+
+assert sys.flags.optimize
+B = importlib.import_module("carrays.bijection")
+S = importlib.import_module("carrays.straighten")
+real_insert = B.insert
+B.insert = lambda t, x: real_insert(t, x + 1)
+S._solve_triple = lambda cur, triple: {cur: 1}
+for call, s in ((B.carray_to_dtableau, ((2, 1),)),
+                (S.straighten, ((2, 1), (4, 3), (6, 5)))):
+    try:
+        call(s)
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        raise SystemExit(f"{call.__name__} returned a broken result")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    bijection_error, straighten_error = proc.stdout.splitlines()
+    assert "bijection produced a non-d-tableau" in bijection_error
+    assert "must strictly increase the order" in straighten_error
 
 
 def test_triple_occurrence_fully_linearizes_to_kernel():
