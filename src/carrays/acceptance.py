@@ -11,14 +11,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from .bijection import carray_to_dtableau, dtableau_to_carray, first_row_length
 from .carray import array_content, classify, enumerate_normal, is_normal
 from .grassmann import check_identity, scalar_check, scalar_evaluation
 from .krs import insert
-from .oracle import Poly, independence_rank, perm_sign, q_poly
+from .oracle import Poly, independence_rank, phi
 from .series import (
     SymPoly,
     _compositions,
@@ -28,6 +27,7 @@ from .series import (
     hilbert_by_dimension,
     hilbert_by_tableaux,
 )
+from .sparse import accumulate
 from .straighten import multilinearize, straighten
 from .tableaux import content_of, enumerate_ssyt, is_d_tableau
 
@@ -244,13 +244,13 @@ def check_content_reduction() -> CheckResult:
     )
 
 
-@lru_cache(maxsize=None)
-def _phi_after_split(s) -> Poly:
-    """Polynomial image of an array after splitting doubled values."""
-    total = Poly.zero()
-    for t in multilinearize(s):
-        total = total + Fraction(perm_sign(t)) * q_poly(t)
-    return total
+def split_phi(combination) -> Poly:
+    """``phi`` of a combination after splitting its doubled values."""
+    return phi(
+        accumulate(
+            (t, coeff) for s, coeff in combination.items() for t in multilinearize(s)
+        )
+    )
 
 
 def check_straightening_soundness() -> CheckResult:
@@ -260,11 +260,7 @@ def check_straightening_soundness() -> CheckResult:
             if any(n > 2 for n in Counter(word).values()):
                 continue
             s = tuple(zip(word[0::2], word[1::2]))
-            lhs = _phi_after_split(s)
-            rhs = Poly.zero()
-            for term, coeff in straighten(s).items():
-                rhs = rhs + coeff * _phi_after_split(term)
-            if lhs != rhs:
+            if split_phi({s: 1}) != split_phi(straighten(s)):
                 return CheckResult(
                     "6a-straightening-phi-soundness",
                     False,

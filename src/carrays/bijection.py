@@ -81,15 +81,12 @@ def first_row_length(s: TwoRowArray) -> int:
     when this is at most 2 and no value occurs more than twice, which
     makes the image shape of the form ``(2^2p, 1^2q)``.
     """
-    s = _require_c_array(s)
-    if not s:
-        return 0
-    return len(carray_to_dtableau(s)[0])
+    t = carray_to_dtableau(s)
+    return len(t[0]) if t else 0
 
 
 def normal_image_shape(s: TwoRowArray) -> bool:
     """Tableau-side picture of normality: the image shape is of the
     form ``(2^2p, 1^2q)`` and no entry occurs more than twice."""
-    s = _require_c_array(s)
     t = carray_to_dtableau(s)
     return all(len(row) <= 2 for row in t) and all(n <= 2 for n in content_of(t))

@@ -126,6 +126,9 @@ def _array_line(s) -> str:
 
 def cmd_enumerate(args) -> int:
     content = _parse_content(args.content)
+    # both enumerators build all (n-1)!! matchings of the n entries
+    if sum(content) >= 16:
+        print(f"warning: {sum(content)} entries; this may be slow", file=sys.stderr)
     arrays = enumerate_normal(content) if args.normal else enumerate_carrays(content)
     if args.json:
         print(json.dumps([array_to_json(s) for s in arrays]))

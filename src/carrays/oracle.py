@@ -7,8 +7,12 @@ top before bottom.  The map kills the straightening relations (the
 three-column relation is a 3x3 determinant of a rank-2 matrix) and is
 injective on combinations of normal multilinear arrays, so exact
 polynomial identities here certify the rewriting engine
-independently.  Everything is exact: coefficients are ``Fraction`` and
-ranks come from fraction-free integer elimination.
+independently.  Every monomial of an image carries one letter per
+label, so it is stored as the bitmask of its ``U`` labels; images are
+built by doubling a list of masks once per column, never by
+multiplying polynomials.  Everything is exact: coefficients are
+integers or ``Fraction`` and ranks come from fraction-free integer
+elimination.
 """
 
 from __future__ import annotations
@@ -20,59 +24,57 @@ from typing import Iterable, Mapping
 from .carray import TwoRowArray, array
 from .sparse import Sparse, accumulate
 
-Token = tuple[str, int]
-Monomial = tuple[Token, ...]
-
 
 class Poly(Sparse):
-    """Sparse multivariate polynomial over the rationals.
+    """Polynomial image on one label set ``L``, keyed by ``U`` masks.
 
-    Monomials are sorted tuples of variable tokens with repetition;
-    zero coefficients are never stored, so equality is dict equality.
+    The key ``m`` (bit ``x`` set for ``U_x``) stands for the monomial
+    ``prod_{x in m} U_x * prod_{x in L - m} V_x``.  The mask is faithful
+    within one label set.  Swapping ``U`` and ``V`` fixes every image,
+    so the coefficient at ``m`` equals the one at ``L - m``; the masks
+    of a nonzero image therefore cover ``L``, and images on different
+    label sets never compare equal.  Zero coefficients are never
+    stored, so equality is dict equality.
     """
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, terms: Mapping[int, Fraction] | None = None):
         self.terms = accumulate(
-            (tuple(sorted(mono)), Fraction(coeff))
-            for mono, coeff in (terms or {}).items()
+            (int(mask), Fraction(coeff)) for mask, coeff in (terms or {}).items()
         )
 
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
+    def _tokens(self, mask: int) -> list[tuple[str, int]]:
+        full = 0
+        for key in self.terms:
+            full |= key
+        return [("U", x) for x in _bits(mask)] + [("V", x) for x in _bits(full ^ mask)]
 
-    @classmethod
-    def constant(cls, value) -> "Poly":
-        return cls({(): Fraction(value)})
+    _sort_key = _tokens
 
-    @classmethod
-    def variable(cls, token: Token) -> "Poly":
-        return cls({(token,): Fraction(1)})
-
-    @staticmethod
-    def _key_product(m1: Monomial, m2: Monomial) -> tuple[Monomial, int]:
-        return tuple(sorted(m1 + m2)), 1
-
-    @staticmethod
-    def _key_text(mono: Monomial) -> str:
-        return "*".join(f"{name}{index}" for name, index in mono)
-
-    def monomials(self) -> list[Monomial]:
-        return sorted(self.terms)
+    def _key_text(self, mask: int) -> str:
+        return "*".join(f"{name}{x}" for name, x in self._tokens(mask))
 
 
-def _multilinear_word(s: TwoRowArray) -> list[int]:
+def _bits(mask: int) -> list[int]:
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def _wrap(terms: dict) -> Poly:
+    result = object.__new__(Poly)
+    result.terms = terms
+    return result
+
+
+def _checked(s: TwoRowArray) -> tuple[TwoRowArray, list[int]]:
+    s = array(s)
     word = [x for col in s for x in col]
     if len(set(word)) != len(word):
         raise ValueError(f"array is not multilinear: {s}")
-    return word
+    return s, word
 
 
-def perm_sign(s: TwoRowArray) -> int:
-    """Sign of the permutation reading the array column by column."""
-    word = _multilinear_word(array(s))
+def _sign(word: list[int]) -> int:
     inversions = sum(
         1
         for i in range(len(word))
@@ -82,25 +84,30 @@ def perm_sign(s: TwoRowArray) -> int:
     return -1 if inversions % 2 else 1
 
 
+def perm_sign(s: TwoRowArray) -> int:
+    """Sign of the permutation reading the array column by column."""
+    return _sign(_checked(s)[1])
+
+
+def _masks(s: TwoRowArray, crossed: bool = False) -> list[int]:
+    """The ``2**m`` distinct masks of ``prod (U_a U_b + V_a V_b)``, or
+    with ``crossed`` of ``prod (U_a V_b + U_b V_a)``."""
+    masks = [0]
+    for a, b in s:
+        x, y = (1 << a, 1 << b) if crossed else (0, 1 << a | 1 << b)
+        masks = [mask | x for mask in masks] + [mask | y for mask in masks]
+    return masks
+
+
 def q_poly(s: TwoRowArray) -> Poly:
     """Product over columns of ``U_a U_b + V_a V_b``."""
-    s = array(s)
-    _multilinear_word(s)
-    result = Poly.constant(1)
-    for a, b in s:
-        result = result * Poly({(("U", a), ("U", b)): 1, (("V", a), ("V", b)): 1})
-    return result
+    return _wrap(dict.fromkeys(_masks(_checked(s)[0]), 1))
 
 
 def p_poly(s: TwoRowArray) -> Poly:
     """Product over columns of ``U_a V_b + U_b V_a`` (the other factor
     convention; spans combinations of the same rank as ``q_poly``)."""
-    s = array(s)
-    _multilinear_word(s)
-    result = Poly.constant(1)
-    for a, b in s:
-        result = result * Poly({(("U", a), ("V", b)): 1, (("U", b), ("V", a)): 1})
-    return result
+    return _wrap(dict.fromkeys(_masks(_checked(s)[0], crossed=True), 1))
 
 
 def phi(combination: Mapping[TwoRowArray, Fraction]) -> Poly:
@@ -108,21 +115,17 @@ def phi(combination: Mapping[TwoRowArray, Fraction]) -> Poly:
 
     All arrays must use one common label set, each label exactly once.
     """
-    arrays = [array(s) for s in combination]
-    labels = None
-    for s in arrays:
-        current = frozenset(_multilinear_word(s))
-        if labels is None:
-            labels = current
-        elif current != labels:
-            raise ValueError(
-                f"arrays use different label sets: {sorted(labels)} vs {sorted(current)}"
-            )
-    total = Poly.zero()
-    for s, coeff in combination.items():
-        s = array(s)
-        total = total + (Fraction(coeff) * perm_sign(s)) * q_poly(s)
-    return total
+    checked = [(_checked(s), coeff) for s, coeff in combination.items()]
+    label_sets = {frozenset(word) for (_, word), _ in checked}
+    if len(label_sets) > 1:
+        found = sorted(map(sorted, label_sets))
+        raise ValueError(f"arrays use different label sets: {found}")
+    total: dict = {}
+    for (s, word), coeff in checked:
+        exact = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+        c = _sign(word) * exact
+        accumulate(((mask, c) for mask in _masks(s)), total)
+    return _wrap(total)
 
 
 def exact_rank(rows: Iterable[Iterable]) -> int:
@@ -134,7 +137,7 @@ def exact_rank(rows: Iterable[Iterable]) -> int:
     """
     mat: list[list[int]] = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
+        fracs = [x if isinstance(x, int) else Fraction(x) for x in row]
         scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
         mat.append([int(f * scale) for f in fracs])
     if not mat or not mat[0]:
@@ -166,13 +169,10 @@ def exact_rank(rows: Iterable[Iterable]) -> int:
 
 def independence_rank(arrays: Iterable[TwoRowArray]) -> int:
     """Rank of the coefficient matrix of the signed polynomial images."""
-    polys = [Fraction(perm_sign(s)) * q_poly(array(s)) for s in arrays]
-    monomials = sorted({m for p in polys for m in p.terms})
-    index = {m: i for i, m in enumerate(monomials)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(monomials)
-        for mono, coeff in p.terms.items():
-            row[index[mono]] = coeff
-        rows.append(row)
-    return exact_rank(rows)
+    images = []
+    for s in arrays:
+        s, word = _checked(s)
+        labels = sum(1 << x for x in word)
+        images.append({(labels, mask): _sign(word) for mask in _masks(s)})
+    keys = sorted(set().union(*images))
+    return exact_rank([[image.get(key, 0) for key in keys] for image in images])

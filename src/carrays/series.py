@@ -58,10 +58,6 @@ class SymPoly(Sparse):
         self.terms = accumulate(pairs)
 
     @classmethod
-    def zero(cls, nvars: int, maxdeg: int | None = None) -> "SymPoly":
-        return cls(nvars, maxdeg=maxdeg)
-
-    @classmethod
     def constant(cls, nvars: int, value, maxdeg: int | None = None) -> "SymPoly":
         return cls(nvars, {(0,) * nvars: Fraction(value)}, maxdeg=maxdeg)
 
@@ -130,8 +126,10 @@ def carini_drensky(k: int, maxdeg: int) -> SymPoly:
     """Hilbert series as the elementary-symmetric half-sum, truncated."""
     if k < 1:
         raise ValueError("need at least one variable")
-    total = SymPoly.zero(k)
-    for i in range(k + 1):
+    total = SymPoly(k)
+    # e_i^2 and e_i(t^2) are homogeneous of degree 2i: larger i only
+    # adds terms the truncation drops
+    for i in range(min(k, maxdeg // 2) + 1):
         e = elementary_symmetric(i, k)
         term = e * e + (-1) ** i * e.substitute_squares()
         total = total + term
@@ -155,7 +153,7 @@ def schur(shape, k: int, maxdeg: int) -> SymPoly:
     sh = validate_shape(shape)
     n = sum(sh)
     if n > maxdeg:
-        return SymPoly.zero(k, maxdeg=maxdeg)
+        return SymPoly(k, maxdeg=maxdeg)
     terms: dict[Exponents, Fraction] = {}
     for content in _compositions(n, k):
         count = len(enumerate_ssyt(sh, content, "english"))
@@ -178,7 +176,7 @@ def hilbert_by_tableaux(k: int, maxdeg: int) -> SymPoly:
     ``(2^2p, 1^2q)``, truncated."""
     if k < 1:
         raise ValueError("need at least one variable")
-    total = SymPoly.zero(k, maxdeg=maxdeg)
+    total = SymPoly(k, maxdeg=maxdeg)
     for sh in double_hook_free_shapes(maxdeg):
         total = total + schur(sh, k, maxdeg)
     return total

@@ -7,8 +7,9 @@ combinations are equal exactly when their dicts are.  ``accumulate`` is
 the add-and-cancel step every combination in the package goes through.
 ``Sparse`` is the arithmetic shared by ``Poly``, ``SymPoly`` and
 ``GrassmannElem``; a subclass says only how its constructor validates,
-which space its elements live in, how two keys multiply and how a key
-sorts and prints.
+which space its elements live in, how a key sorts and prints and, for
+the two that form rings, how two keys multiply (``Poly`` is only ever
+added and scaled).
 """
 
 from __future__ import annotations
@@ -33,20 +34,21 @@ def accumulate(pairs, into=None) -> dict:
 
 
 class Sparse:
-    """Exact linear combination of keys with nonzero ``Fraction``
-    coefficients in ``terms``.
+    """Exact linear combination of keys with nonzero ``int`` or
+    ``Fraction`` coefficients in ``terms``.
 
-    Subclasses supply ``_key_product(k1, k2) -> (key, sign)`` with sign
-    ``1``, ``-1``, or ``0`` when the product vanishes, plus ``_sort_key``
-    and ``_key_text`` for printing.  Those living in a space (a number
-    of variables or generators) override ``_space``, ``_SPACE_NAME``
-    and ``_new``.
+    Subclasses supply ``_sort_key`` and ``_key_text`` for printing and,
+    to multiply two elements, ``_key_product(k1, k2) -> (key, sign)``
+    with sign ``1``, ``-1``, or ``0`` when the product vanishes.  Those
+    living in a space (a number of variables or generators) override
+    ``_space``, ``_SPACE_NAME`` and ``_new``.
     """
 
     __slots__ = ("terms",)
 
     _SPACE_NAME = ""
     _sort_key = None
+    _key_product = None
 
     def _space(self):
         """What two operands must share; elements of different spaces
@@ -93,6 +95,8 @@ class Sparse:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return self._new({k: c * cf for k, cf in self.terms.items()} if c else {})
+        if self._key_product is None or not isinstance(other, Sparse):
+            return NotImplemented
         self._require_same(other)
         product = self._key_product
         pairs = (

@@ -152,6 +152,24 @@ def test_hilbert_slowness_warning_follows_k(capsys, monkeypatch):
     assert err == "warning: k=10 variables; this may be slow\n"
 
 
+def test_enumerate_slowness_warning_follows_entries(capsys, monkeypatch):
+    # both enumerators are stubbed out; only the entry count matters
+    monkeypatch.setattr(cli, "enumerate_normal", lambda content: [((2, 1),)])
+    monkeypatch.setattr(cli, "enumerate_carrays", lambda content: [((1, 2),)])
+    warning = "warning: 16 entries; this may be slow\n"
+    for content, flags, line, want_err in (
+        ("1," * 14 + "1", ["--normal"], "2 / 1\n", ""),
+        ("2," * 7 + "1,1", ["--normal"], "2 / 1\n", warning),
+        ("1," * 15 + "1", [], "1 / 2\n", warning),
+    ):
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["enumerate", "--content", content, *flags]
+        )
+        assert code == 0
+        assert out == line
+        assert err == want_err
+
+
 def test_codim(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["codim", "--max-m", "3"])
     assert code == 0

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from carrays.carray import enumerate_normal
+from carrays.grassmann import GrassmannElem
 from carrays.oracle import (
     Poly,
     exact_rank,
@@ -17,12 +19,9 @@ from carrays.series import SymPoly
 from carrays.straighten import multilinearize
 
 
-def _u(i):
-    return ("U", i)
-
-
-def _v(i):
-    return ("V", i)
+def _mask(*labels):
+    """Key of the monomial whose ``U`` labels are ``labels``."""
+    return sum(1 << x for x in labels)
 
 
 def test_perm_sign():
@@ -34,9 +33,11 @@ def test_perm_sign():
 
 
 def test_q_poly_single_column():
-    assert q_poly(((2, 1),)) == Poly(
-        {(_u(1), _u(2)): Fraction(1), (_v(1), _v(2)): Fraction(1)}
-    )
+    p = q_poly(((2, 1),))
+    assert p == Poly({_mask(1, 2): Fraction(1), _mask(): Fraction(1)})
+    assert repr(p) == "U1*U2 + V1*V2"
+    assert 2 * p == p + p
+    assert (p - p).is_zero() and repr(p - p) == "0"
 
 
 def test_q_poly_column_symmetric():
@@ -51,8 +52,61 @@ def test_q_poly_two_columns_expands_to_four_monomials():
 
 def test_phi_single_term():
     assert phi({((2, 1),): Fraction(1)}) == Poly(
-        {(_u(1), _u(2)): Fraction(-1), (_v(1), _v(2)): Fraction(-1)}
+        {_mask(1, 2): Fraction(-1), _mask(): Fraction(-1)}
     )
+
+
+def test_images_on_different_label_sets_differ():
+    # the masks of a nonzero image cover its label set, so the label
+    # set is part of the value even though a key holds only U labels
+    assert q_poly(((2, 1),)) != q_poly(((4, 3),))
+    assert phi({((2, 1),): 1}) != phi({((4, 3),): 1})
+
+
+def _direct_value(combination, u, v):
+    """``sum c * sign * prod (U_a U_b + V_a V_b)`` at the point ``u, v``,
+    with the sign counted by cycles rather than inversions."""
+    total = 0
+    for s, coeff in combination.items():
+        word = [x for col in s for x in col]
+        position = {x: i for i, x in enumerate(sorted(word))}
+        perm = [position[x] for x in word]
+        seen, sign = set(), 1
+        for start in range(len(perm)):
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+                length += 1
+            if length and length % 2 == 0:
+                sign = -sign
+        value = coeff * sign
+        for a, b in s:
+            value *= u[a] * u[b] + v[a] * v[b]
+        total += value
+    return total
+
+
+def test_phi_matches_direct_evaluation():
+    rng = random.Random(4)
+    for _ in range(60):
+        m = rng.randint(0, 5)
+        labels = rng.sample(range(1, 13), 2 * m)
+        combination = {}
+        for _ in range(rng.randint(1, 6)):
+            word = rng.sample(labels, 2 * m)
+            s = tuple(zip(word[0::2], word[1::2]))
+            combination[s] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        image = phi(combination)
+        for _ in range(3):
+            u = {x: rng.randint(-9, 9) for x in labels}
+            v = {x: rng.randint(-9, 9) for x in labels}
+            value = 0
+            for mask, coeff in image.terms.items():
+                for x in labels:
+                    coeff *= u[x] if mask >> x & 1 else v[x]
+                value += coeff
+            assert value == _direct_value(combination, u, v)
 
 
 def test_phi_cancellation():
@@ -111,6 +165,7 @@ def test_independence_ranks():
     assert independence_rank(enumerate_normal((1, 1))) == 1
     assert independence_rank(enumerate_normal((1,) * 4)) == 3
     assert independence_rank(enumerate_normal((1,) * 6)) == 10
+    assert independence_rank(enumerate_normal((1,) * 10)) == 126
 
 
 def test_rank_matches_dtableau_count():
@@ -150,18 +205,9 @@ def test_exact_rank_basics():
         exact_rank([[1, 2], [3]])
 
 
-def test_poly_arithmetic():
-    x = Poly.variable(_u(1))
-    y = Poly.variable(_v(1))
-    assert (x + y) * (x - y) == x * x - y * y
-    assert (x - x).is_zero()
-    assert (x + (-x)).terms == {}
-    assert 2 * x == x + x
-    assert repr(Poly.zero()) == "0"
-    assert repr(x * x + 2 * y) == "U1*U1 + 2*V1"
-    # equal terms in different classes are different values
-    assert Poly.constant(1).terms == SymPoly.constant(0, 1).terms
-    assert Poly.constant(1) != SymPoly.constant(0, 1)
+def test_equal_terms_in_different_classes_differ():
+    assert GrassmannElem(0, {(): 1}).terms == SymPoly.constant(0, 1).terms
+    assert GrassmannElem(0, {(): 1}) != SymPoly.constant(0, 1)
 
 
 def test_phi_after_multilinearization_is_label_consistent():

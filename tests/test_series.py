@@ -75,8 +75,13 @@ def test_hilbert_by_tableaux_small():
 
 
 def test_three_way_agreement():
-    for k in (1, 2):
-        assert carini_drensky(k, 6) == hilbert_by_tableaux(k, 6) == hilbert_by_dimension(k, 6)
+    # k > maxdeg // 2 exercises the closed form's early cut
+    for k, maxdeg in ((1, 6), (2, 6), (6, 5), (7, 5)):
+        assert (
+            carini_drensky(k, maxdeg)
+            == hilbert_by_tableaux(k, maxdeg)
+            == hilbert_by_dimension(k, maxdeg)
+        )
 
 
 def test_hilbert_pairwise_degree_coefficient():
@@ -153,5 +158,5 @@ def test_sympoly_truncation():
 
 
 def test_sympoly_repr():
-    assert repr(SymPoly.zero(2)) == "0"
+    assert repr(SymPoly(2)) == "0"
     assert repr(carini_drensky(2, 8)) == "1 + t1*t2 + t1^2*t2^2"

@@ -9,9 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from carrays.acceptance import DERIVED_FORM_FIXTURES, _phi_after_split
+from carrays.acceptance import DERIVED_FORM_FIXTURES, split_phi
 from carrays.carray import array_content, is_normal, normalize, ordering_key
-from carrays.oracle import Poly, phi
 from carrays.straighten import (
     _solve_triple,
     lincomb_multiply,
@@ -80,11 +79,7 @@ def test_phi_soundness_small_sweep():
             if any(n > 2 for n in Counter(word).values()):
                 continue
             s = tuple(zip(word[0::2], word[1::2]))
-            lhs = _phi_after_split(s)
-            rhs = Poly.zero()
-            for term, coeff in straighten(s).items():
-                rhs = rhs + coeff * _phi_after_split(term)
-            assert lhs == rhs
+            assert split_phi({s: 1}) == split_phi(straighten(s))
 
 
 def rescan_straighten(s, last=False):
@@ -190,12 +185,7 @@ def test_degree_14_increasing_bottom():
     assert len(result) == 772
     assert all(is_normal(t) for t in result)
     assert all(array_content(t) == array_content(s) for t in result)
-    lhs = Counter(multilinearize(s))
-    rhs = {}
-    for term, coeff in result.items():
-        for t in multilinearize(term):
-            rhs[t] = rhs.get(t, 0) + coeff
-    assert phi(lhs) == phi(rhs)
+    assert split_phi({s: 1}) == split_phi(result)
 
 
 def test_result_guards_survive_optimize():
