@@ -66,25 +66,34 @@ def has_bounded_multiplicity(s: TwoRowArray) -> bool:
     return all(n <= 2 for n in array_content(s))
 
 
+def _extend_piles(columns, low=None, high=None):
+    """Two-pile patience state after the bottom entries of ``columns``.
+
+    ``low`` is the smallest entry seen, ``high`` the smallest entry that
+    ends a weakly increasing pair (``None`` while there is none).
+    Returns the new ``(low, high)``, or ``None`` as soon as an entry at
+    least ``high`` closes a weakly increasing triple.  ``high`` never
+    increases.
+    """
+    for _, b in columns:
+        if high is not None and b >= high:
+            return None
+        if low is not None and b >= low:
+            high = b
+        else:
+            low = b
+    return low, high
+
+
 def has_no_weak_bottom_triple(s: TwoRowArray) -> bool:
     """No columns r < s < t with weakly increasing bottom entries.
 
     Equivalently, the longest weakly increasing subsequence of the
     bottom row has length at most 2 (the first-row statistic of
-    :mod:`carrays.bijection`).  Patience sorting with two piles tests
-    this in one pass: ``low`` is the smallest entry seen, ``high`` the
-    smallest entry that ends a weakly increasing pair; an entry at
-    least ``high`` closes a triple.
+    :mod:`carrays.bijection`), which two-pile patience sorting tests in
+    one pass.
     """
-    low = high = None
-    for _, b in s:
-        if high is not None and b >= high:
-            return False
-        if low is not None and b >= low:
-            high = b
-        else:
-            low = b
-    return True
+    return _extend_piles(s) is not None
 
 
 def is_c_array(s: TwoRowArray) -> bool:
@@ -204,12 +213,63 @@ def enumerate_normal(content) -> list[TwoRowArray]:
     """All normal c-arrays of the given content, sorted by the total order.
 
     Empty whenever the total degree is odd or some value occurs more
-    than twice.
+    than twice.  The entries are placed in increasing order: each one
+    either closes a column over a smaller bottom that waits for its
+    top, or waits as a bottom itself.  Columns are so created in sorted
+    order and the bottom row grows left to right, carrying its two-pile
+    patience state; a branch stops as soon as a placed or waiting bottom
+    reaches ``high`` (it closes a weak triple now or later, since
+    ``high`` never increases) or more bottoms wait than entries remain.
     """
     counts = trim_content(content)
-    if any(n > 2 for n in counts):
+    if sum(counts) % 2 or any(n > 2 for n in counts):
         return []
-    return [s for s in enumerate_carrays(counts) if has_no_weak_bottom_triple(s)]
+    items = [value for value, n in enumerate(counts, start=1) for _ in range(n)]
+    total = len(items)
+    columns: list[Column] = []
+    waiting: list[int] = []  # sorted bottoms without a top yet
+    found: list[TwoRowArray] = []
+
+    def viable(remaining: int, high) -> bool:
+        # every waiting bottom still needs a later top, and must stay
+        # below ``high`` to be placed at all
+        return len(waiting) <= remaining and (
+            high is None or not waiting or waiting[-1] < high
+        )
+
+    def extend(i: int, low, high, start: int | None) -> None:
+        # items[i] may close over waiting[start:]; the copies of a value
+        # that close precede those that wait and take nondecreasing
+        # bottoms (``start`` is None after a copy that waited), so each
+        # array is built once
+        if i == total:
+            found.append(tuple(columns))
+            return
+        v = items[i]
+        same = i + 1 < total and items[i + 1] == v
+        remaining = total - i - 1
+        if start is not None:
+            for j in range(start, len(waiting)):
+                w = waiting[j]
+                if j > start and w == waiting[j - 1]:
+                    continue
+                state = _extend_piles(((v, w),), low, high)
+                if state is None:
+                    break
+                del waiting[j]
+                if viable(remaining, state[1]):
+                    columns.append((v, w))
+                    extend(i + 1, *state, j if same else 0)
+                    columns.pop()
+                waiting.insert(j, w)
+        waiting.append(v)
+        if viable(remaining, high):
+            extend(i + 1, low, high, None if same else 0)
+        waiting.pop()
+
+    extend(0, None, None, 0)
+    del extend  # the closure refers to itself; free it without the collector
+    return sorted(found, key=ordering_key)
 
 
 def array_to_text(s: TwoRowArray) -> str:

@@ -122,6 +122,30 @@ def elementary_symmetric(i: int, k: int) -> SymPoly:
     return SymPoly(k, terms)
 
 
+def _elementary_square(i: int, k: int) -> SymPoly:
+    """``e_i^2`` in ``k`` variables, built without a polynomial product.
+
+    Every monomial has exponents in ``{0, 1, 2}``.  One with ``l`` ones
+    and ``(2i - l)/2`` twos arises from the pairs of ``i``-subsets that
+    both hold the twos and split the ones evenly, so its coefficient is
+    ``C(l, l/2)``.
+    """
+    terms: dict[Exponents, Fraction] = {}
+    for twos in range(max(0, 2 * i - k), i + 1):
+        ones = 2 * (i - twos)
+        coeff = Fraction(comb(ones, ones // 2))
+        for doubled in combinations(range(k), twos):
+            rest = [x for x in range(k) if x not in doubled]
+            for single in combinations(rest, ones):
+                expo = [0] * k
+                for idx in doubled:
+                    expo[idx] = 2
+                for idx in single:
+                    expo[idx] = 1
+                terms[tuple(expo)] = coeff
+    return SymPoly(k, terms)
+
+
 def carini_drensky(k: int, maxdeg: int) -> SymPoly:
     """Hilbert series as the elementary-symmetric half-sum, truncated."""
     if k < 1:
@@ -131,7 +155,7 @@ def carini_drensky(k: int, maxdeg: int) -> SymPoly:
     # adds terms the truncation drops
     for i in range(min(k, maxdeg // 2) + 1):
         e = elementary_symmetric(i, k)
-        term = e * e + (-1) ** i * e.substitute_squares()
+        term = _elementary_square(i, k) + (-1) ** i * e.substitute_squares()
         total = total + term
     return (total * Fraction(1, 2)).truncate(maxdeg)
 

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from carrays.carray import (
     ordering_key,
     star,
 )
+from carrays.series import dimension
 from carrays.tableaux import trim_content
 
 
@@ -101,6 +103,36 @@ def test_enumerate_normal_all_twos():
 def test_enumerate_normal_kills_high_multiplicity_and_odd_degree():
     assert enumerate_normal((3, 1)) == []
     assert enumerate_normal((1, 1, 1)) == []
+
+
+def test_enumerate_normal_matches_filtered_matchings():
+    # the backtracker against the independent enumerator of every
+    # c-array, filtered: all contents on 8 values with multiplicities
+    # 0..2 and degree <= 10, then rows with a 3 or odd degree, whose
+    # normal arrays are none
+    contents = [c for c in product((0, 1, 2), repeat=8) if sum(c) <= 10]
+    contents += [(3,), (3, 1), (1, 3), (1, 1, 3, 1), (2, 3, 1, 2)]
+    contents += [(1,), (1, 1, 1), (2, 1, 2, 2), (1, 2, 1, 1, 2)]
+    for content in contents:
+        expected = [s for s in enumerate_carrays(content) if is_normal(s)]
+        assert enumerate_normal(content) == expected, content
+        if 3 in content or sum(content) % 2:
+            assert expected == []
+
+
+def test_enumerate_normal_past_desk_scale():
+    # 16 entries: 2,027,025 matchings for the filtering enumerator
+    for content, size in (
+        ((1,) * 16, comb(15, 8)),
+        ((1,) * 7 + (2,) + (1,) * 7, comb(13, 7)),
+    ):
+        found = enumerate_normal(content)
+        assert len(found) == size == dimension(content)
+        keys = [ordering_key(s) for s in found]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+        for s in found:
+            assert is_normal(s)
+            assert trim_content(array_content(s)) == content
 
 
 def test_enumerate_carrays_content_and_order():

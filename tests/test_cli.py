@@ -153,14 +153,16 @@ def test_hilbert_slowness_warning_follows_k(capsys, monkeypatch):
 
 
 def test_enumerate_slowness_warning_follows_entries(capsys, monkeypatch):
-    # both enumerators are stubbed out; only the entry count matters
+    # both enumerators are stubbed out; only the entry count and the
+    # enumerator matter
     monkeypatch.setattr(cli, "enumerate_normal", lambda content: [((2, 1),)])
     monkeypatch.setattr(cli, "enumerate_carrays", lambda content: [((1, 2),)])
-    warning = "warning: 16 entries; this may be slow\n"
+    warning = "warning: {} entries; this may be slow\n".format
     for content, flags, line, want_err in (
         ("1," * 14 + "1", ["--normal"], "2 / 1\n", ""),
-        ("2," * 7 + "1,1", ["--normal"], "2 / 1\n", warning),
-        ("1," * 15 + "1", [], "1 / 2\n", warning),
+        ("2," * 7 + "1,1", ["--normal"], "2 / 1\n", ""),
+        ("2," * 9 + "1,1", ["--normal"], "2 / 1\n", warning(20)),
+        ("1," * 15 + "1", [], "1 / 2\n", warning(16)),
     ):
         code, out, err = run_cli(
             capsys, monkeypatch, ["enumerate", "--content", content, *flags]

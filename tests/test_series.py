@@ -6,6 +6,7 @@ import pytest
 from carrays.carray import enumerate_normal
 from carrays.series import (
     SymPoly,
+    _elementary_square,
     carini_drensky,
     dimension,
     double_hook_free_shapes,
@@ -33,6 +34,13 @@ def test_elementary_symmetric():
     )
     with pytest.raises(ValueError):
         elementary_symmetric(4, 3)
+
+
+def test_elementary_square_matches_product():
+    for k in range(1, 7):
+        for i in range(k + 1):
+            e = elementary_symmetric(i, k)
+            assert _elementary_square(i, k) == e * e, (i, k)
 
 
 def test_carini_drensky_one_variable():
