@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import acceptance
 from .bijection import carray_to_dtableau, dtableau_to_carray
@@ -192,17 +193,37 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    print(f"carrays selftest (grassmann seed={acceptance.GRASSMANN_SEED})")
-    failures = 0
+    """Run every acceptance check: a PASS/FAIL table on stdout (or, with
+    ``--json``, one JSON object) and each check's seconds on stderr."""
+    if not args.json:
+        print(f"carrays selftest (grassmann seed={acceptance.GRASSMANN_SEED})")
+    checks = []
     for check in acceptance.ALL_CHECKS:
+        start = time.perf_counter()
         result = check()
-        status = "PASS" if result.passed else "FAIL"
-        if not result.passed:
-            failures += 1
-        print(f"{status}  {result.check_id:32}  {result.detail}")
-    total = len(acceptance.ALL_CHECKS)
-    print(f"{total - failures}/{total} checks passed")
-    return 0 if failures == 0 else 1
+        seconds = time.perf_counter() - start
+        print(f"{result.check_id}: {seconds:.3f} s", file=sys.stderr, flush=True)
+        checks.append(
+            {
+                "id": result.check_id,
+                "passed": result.passed,
+                "detail": result.detail,
+                "seconds": seconds,
+            }
+        )
+        if not args.json:
+            status = "PASS" if result.passed else "FAIL"
+            print(f"{status}  {result.check_id:32}  {result.detail}")
+    passed = sum(c["passed"] for c in checks)
+    if args.json:
+        print(
+            json.dumps(
+                {"grassmann_seed": acceptance.GRASSMANN_SEED, "checks": checks}
+            )
+        )
+    else:
+        print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("selftest", help="run every acceptance check")
+    p = sub.add_parser(
+        "selftest",
+        help="run every acceptance check; per-check seconds go to stderr",
+    )
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="print each check's id, pass flag, detail and seconds as JSON",
+    )
     p.set_defaults(func=cmd_selftest)
 
     return parser

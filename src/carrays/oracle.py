@@ -22,7 +22,7 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from .carray import TwoRowArray, array
-from .sparse import Sparse, accumulate
+from .sparse import Sparse, accumulate, exact_coeff
 
 
 class Poly(Sparse):
@@ -41,7 +41,7 @@ class Poly(Sparse):
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
         self.terms = accumulate(
-            (int(mask), Fraction(coeff)) for mask, coeff in (terms or {}).items()
+            (int(mask), exact_coeff(coeff)) for mask, coeff in (terms or {}).items()
         )
 
     def _tokens(self, mask: int) -> list[tuple[str, int]]:
@@ -122,8 +122,7 @@ def phi(combination: Mapping[TwoRowArray, Fraction]) -> Poly:
         raise ValueError(f"arrays use different label sets: {found}")
     total: dict = {}
     for (s, word), coeff in checked:
-        exact = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
-        c = _sign(word) * exact
+        c = _sign(word) * exact_coeff(coeff)
         accumulate(((mask, c) for mask in _masks(s)), total)
     return _wrap(total)
 

@@ -28,7 +28,7 @@ from itertools import combinations, product
 from math import comb, factorial
 from typing import Iterable
 
-from .sparse import Sparse, accumulate
+from .sparse import Sparse, accumulate, exact_coeff
 from .tableaux import enumerate_ssyt, shape as validate_shape, trim_content
 
 Exponents = tuple[int, ...]
@@ -54,16 +54,16 @@ class SymPoly(Sparse):
             if len(expo) != self.nvars or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent vector: {expo}")
             if maxdeg is None or sum(expo) <= maxdeg:
-                pairs.append((expo, Fraction(coeff)))
+                pairs.append((expo, exact_coeff(coeff)))
         self.terms = accumulate(pairs)
 
     @classmethod
     def constant(cls, nvars: int, value, maxdeg: int | None = None) -> "SymPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)}, maxdeg=maxdeg)
+        return cls(nvars, {(0,) * nvars: value}, maxdeg=maxdeg)
 
     @classmethod
     def monomial(cls, nvars: int, exponents, coeff=1) -> "SymPoly":
-        return cls(nvars, {tuple(exponents): Fraction(coeff)})
+        return cls(nvars, {tuple(exponents): coeff})
 
     def _space(self) -> int:
         return self.nvars

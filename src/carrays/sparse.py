@@ -8,8 +8,11 @@ the add-and-cancel step every combination in the package goes through.
 ``Sparse`` is the arithmetic shared by ``Poly``, ``SymPoly`` and
 ``GrassmannElem``; a subclass says only how its constructor validates,
 which space its elements live in, how a key sorts and prints and, for
-the two that form rings, how two keys multiply (``Poly`` is only ever
-added and scaled).
+``SymPoly``, how two keys multiply.  ``GrassmannElem`` multiplies in
+its own kernel on generator bitmasks, and ``Poly`` is only ever added
+and scaled.  Every constructor takes its coefficients through
+``exact_coeff``, so a coefficient is an ``int`` or a ``Fraction`` and
+an exact integer stays ``int``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,18 @@ def accumulate(pairs, into=None) -> dict:
         elif old is not None:
             del out[key]
     return out
+
+
+def exact_coeff(value):
+    """``value`` itself when it is an ``int`` or a ``Fraction``; a
+    ``TypeError`` for anything else, ``bool`` and ``float`` included, so
+    no inexact or accidental value becomes a coefficient."""
+    if type(value) is int or isinstance(value, Fraction):
+        return value
+    raise TypeError(
+        f"coefficient must be an int or a Fraction, not {type(value).__name__}:"
+        f" {value!r}"
+    )
 
 
 class Sparse:
@@ -93,8 +108,9 @@ class Sparse:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return self._new({k: c * cf for k, cf in self.terms.items()} if c else {})
+            return self._new(
+                {k: other * c for k, c in self.terms.items()} if other else {}
+            )
         if self._key_product is None or not isinstance(other, Sparse):
             return NotImplemented
         self._require_same(other)

@@ -279,3 +279,32 @@ def test_selftest_reports_every_check(capsys, monkeypatch):
         f"FAIL  {'2-stub-fail':32}  witness",
         "1/2 checks passed",
     ]
+
+
+def test_selftest_times_each_check(capsys, monkeypatch):
+    checks = [
+        lambda: acceptance.CheckResult("1-stub-pass", True, "fine"),
+        lambda: acceptance.CheckResult("2-stub-fail", False, "witness"),
+    ]
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
+    code, out, err = run_cli(capsys, monkeypatch, ["selftest"])
+    assert code == 1
+    timings = err.splitlines()
+    assert [line.split(": ")[0] for line in timings] == ["1-stub-pass", "2-stub-fail"]
+    assert all(line.endswith(" s") for line in timings)
+
+    code, out, err = run_cli(capsys, monkeypatch, ["selftest", "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["grassmann_seed"] == acceptance.GRASSMANN_SEED
+    assert [
+        (c["id"], c["passed"], c["detail"]) for c in report["checks"]
+    ] == [("1-stub-pass", True, "fine"), ("2-stub-fail", False, "witness")]
+    assert all(
+        isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in report["checks"]
+    )
+    assert len(err.splitlines()) == 2
+
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks[:1])
+    code, out, _ = run_cli(capsys, monkeypatch, ["selftest", "--json"])
+    assert code == 0 and json.loads(out)["checks"][0]["passed"] is True

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +22,93 @@ from carrays.straighten import straighten
 
 def e(gens, *indices):
     return GrassmannElem.monomial(gens, indices)
+
+
+def _merge_monomials(m1, m2):
+    """Merge two sorted generator tuples; sign counts the crossings.
+    The tuple-merging product the mask kernel replaced, kept as its
+    reference."""
+    out = []
+    sign = 1
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        if m1[i] == m2[j]:
+            return None, 0
+        if m1[i] < m2[j]:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+            if (len(m1) - i) % 2:
+                sign = -sign
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out), sign
+
+
+def reference_product(x, y):
+    terms = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            key, sign = _merge_monomials(k1, k2)
+            if sign:
+                terms[key] = terms.get(key, 0) + sign * c1 * c2
+    return {k: c for k, c in terms.items() if c}
+
+
+def random_elem(rng, gens, coeffs):
+    """Up to six terms of degree 0..5 on ``1..gens``; zero terms give
+    the zero element, and few generators force overlaps."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        size = rng.randint(0, min(5, gens))
+        terms[tuple(sorted(rng.sample(range(1, gens + 1), size)))] = rng.choice(coeffs)
+    return GrassmannElem(gens, terms)
+
+
+def test_mask_product_matches_merge_reference():
+    rng = random.Random(20)
+    pools = ([-3, -1, 1, 2], [Fraction(-1, 2), Fraction(3, 7), 2, -1])
+    for trial in range(600):
+        gens = rng.randint(0, 10)
+        integral = trial % 2 == 0
+        x, y, z = (random_elem(rng, gens, pools[trial % 2]) for _ in range(3))
+        for left, right in ((x, y), (y, x), (x, GrassmannElem(gens)),
+                            (GrassmannElem.scalar(gens, -2), y), (x, x)):
+            product_ = left * right
+            assert product_.terms == reference_product(left, right), (left, right)
+            assert all(
+                all(a < b for a, b in zip(k, k[1:])) for k in product_.terms
+            )
+            if integral:
+                assert all(type(c) is int for c in product_.terms.values())
+        assert (x * y) * z == x * (y * z)
+
+
+def test_int_coefficients_stay_int():
+    x = GrassmannElem(4, {(1,): 2, (2, 3): Fraction(1, 2), (): Fraction(3)})
+    assert type(x.terms[(1,)]) is int
+    assert x.terms[(2, 3)] == Fraction(1, 2) and x.terms[()] == 3
+    for elem in (
+        GrassmannElem.scalar(4, 1),
+        GrassmannElem.generator(4, 2),
+        GrassmannElem.monomial(4, (1, 2), -3),
+        GrassmannElem.monomial(4, (1, 2)) * 5,
+    ):
+        assert all(type(c) is int for c in elem.terms.values())
+    w = random_w(6, random.Random(4))
+    assert all(type(c) is int for x in (w.a, w.b, w.c, w.d) for c in x.terms.values())
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/2", None])
+def test_grassmann_rejects_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        GrassmannElem(2, {(): bad})
+    with pytest.raises(TypeError):
+        GrassmannElem.scalar(2, bad)
+    with pytest.raises(TypeError):
+        GrassmannElem.monomial(2, (1,), bad)
 
 
 def test_wedge_basic():
@@ -123,6 +210,16 @@ def test_central_diagonal_part_is_invisible():
         assert eval_array(s, shifted) == base
 
 
+def cached_eval(s, assignment, cache, gens):
+    acc = M11.identity(gens)
+    for a, b in s:
+        key = (a, b)
+        if key not in cache:
+            cache[key] = commutator(assignment[a], assignment[b])
+        acc = acc * cache[key]
+    return acc
+
+
 def test_straightening_matches_matrix_model():
     # eval(S) - sum coeff * eval(term) vanishes on shared random draws
     rng = random.Random(3)
@@ -131,24 +228,38 @@ def test_straightening_matches_matrix_model():
     for _ in range(20):
         assignments.append({i: random_w(gens, rng) for i in (1, 2, 3, 4)})
 
-    def cached_eval(s, assignment, cache):
-        acc = M11.identity(gens)
-        for a, b in s:
-            key = (a, b)
-            if key not in cache:
-                cache[key] = commutator(assignment[a], assignment[b])
-            acc = acc * cache[key]
-        return acc
-
     for word in product(range(1, 5), repeat=4):
         s = tuple(zip(word[0::2], word[1::2]))
         result = straighten(s)
         for assignment in assignments:
             cache = {}
-            value = cached_eval(s, assignment, cache)
+            value = cached_eval(s, assignment, cache, gens)
             for term, coeff in result.items():
-                value = value - cached_eval(term, assignment, cache) * coeff
+                value = value - cached_eval(term, assignment, cache, gens) * coeff
             assert value.is_zero(), (s, result)
+
+
+def test_degree_6_straightening_matches_matrix_model():
+    # every raw multilinear array on 1..6 against one seeded draw; at
+    # least half of the left-hand sides must be nonzero, or the
+    # agreement would say little
+    gens = 10
+    rng = random.Random(6)
+    assignment = {i: random_w(gens, rng) for i in range(1, 7)}
+    cache = {}
+    normal = {}
+    nonzero = 0
+    for word in permutations(range(1, 7)):
+        s = tuple(zip(word[0::2], word[1::2]))
+        lhs = cached_eval(s, assignment, cache, gens)
+        nonzero += bool(lhs)
+        rhs = M11.zero(gens)
+        for term, coeff in straighten(s).items():
+            if term not in normal:
+                normal[term] = cached_eval(term, assignment, cache, gens)
+            rhs = rhs + normal[term] * coeff
+        assert lhs == rhs, s
+    assert nonzero >= 360, nonzero
 
 
 def test_verify_weak_identity_c3():

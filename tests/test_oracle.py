@@ -205,6 +205,20 @@ def test_exact_rank_basics():
         exact_rank([[1, 2], [3]])
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, "1/2", None])
+def test_poly_rejects_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        Poly({_mask(1): bad})
+    with pytest.raises(TypeError):
+        phi({((2, 1),): bad})
+
+
+def test_poly_keeps_exact_coefficients():
+    p = Poly({_mask(1): 2, _mask(2): Fraction(1, 2)})
+    assert type(p.terms[_mask(1)]) is int
+    assert p.terms[_mask(2)] == Fraction(1, 2)
+
+
 def test_equal_terms_in_different_classes_differ():
     assert GrassmannElem(0, {(): 1}).terms == SymPoly.constant(0, 1).terms
     assert GrassmannElem(0, {(): 1}) != SymPoly.constant(0, 1)

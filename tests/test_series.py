@@ -165,6 +165,23 @@ def test_sympoly_truncation():
         x + SymPoly.monomial(2, (1, 0))
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, "1/2", None])
+def test_sympoly_rejects_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        SymPoly(2, {(1, 0): bad})
+    with pytest.raises(TypeError):
+        SymPoly.constant(2, bad)
+    with pytest.raises(TypeError):
+        SymPoly.monomial(2, (0, 1), bad)
+
+
+def test_sympoly_keeps_exact_coefficients():
+    x = SymPoly(2, {(1, 0): 2, (0, 1): Fraction(1, 3)})
+    assert type(x.terms[(1, 0)]) is int
+    assert x.terms[(0, 1)] == Fraction(1, 3)
+    assert repr(x) == "1/3*t2 + 2*t1"
+
+
 def test_sympoly_repr():
     assert repr(SymPoly(2)) == "0"
     assert repr(carini_drensky(2, 8)) == "1 + t1*t2 + t1^2*t2^2"
