@@ -16,25 +16,24 @@ bottom row.
 from __future__ import annotations
 
 from .carray import TwoRowArray, _require_c_array, array_content, is_c_array
-from .krs import delete, insert
-from .tableaux import Tableau, content_of, is_d_tableau
+from .krs import _bump, _unbump
+from .tableaux import Tableau, content_of, count_content, is_d_tableau
 
 
 def carray_to_dtableau(s: TwoRowArray) -> Tableau:
     """Map a c-array to the semistandard tableau of double shape."""
     s = _require_c_array(s)
-    t: Tableau = ()
+    rows: list[list[int]] = []
     for a, b in s:
-        t, i = insert(t, b)
-        rows = list(t)
-        if i + 1 > len(rows):
-            rows.append((a,))
+        i = _bump(rows, b)
+        if i + 1 == len(rows):
+            rows.append([a])
         else:
-            rows[i] = rows[i] + (a,)
-        t = tuple(rows)
+            rows[i + 1].append(a)
+    t = tuple(map(tuple, rows))
     if not is_d_tableau(t):
         raise RuntimeError(f"bijection produced a non-d-tableau: {t}")
-    if content_of(t) != array_content(s):
+    if count_content([x for row in t for x in row]) != array_content(s):
         raise RuntimeError(f"bijection changed the content: {s} -> {t}")
     return t
 
@@ -43,28 +42,27 @@ def dtableau_to_carray(t: Tableau) -> TwoRowArray:
     """Inverse of :func:`carray_to_dtableau`."""
     if not is_d_tableau(t):
         raise ValueError(f"not a d-tableau: {t}")
+    rows = [list(row) for row in t]
     cols: list[tuple[int, int]] = []
-    while t:
-        x = max(max(row) for row in t)
+    while rows:
+        x = max(max(row) for row in rows)
         # rightmost occurrence of the maximum; column-strictness makes it unique
         i0, j0 = max(
-            ((i, j) for i, row in enumerate(t) for j, v in enumerate(row) if v == x),
+            ((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v == x),
             key=lambda ij: ij[1],
         )
         if i0 < 1:
             raise RuntimeError("maximal entry cannot sit in the first row of a pair")
-        if len(t[i0]) != j0 + 1:
+        if len(rows[i0]) != j0 + 1:
             raise RuntimeError("maximal entry must close its row")
-        if len(t[i0 - 1]) != j0 + 1:
+        if len(rows[i0 - 1]) != j0 + 1:
             raise RuntimeError("paired rows must have equal length")
-        t2, y = delete(t, i0 + 1)
-        rows = list(t2)
+        y = _unbump(rows, i0)
         if rows[i0 - 1][-1] != x or len(rows[i0 - 1]) != j0 + 1:
             raise RuntimeError("bumped maximum did not land on the paired corner")
-        rows[i0 - 1] = rows[i0 - 1][:-1]
+        rows[i0 - 1].pop()
         while rows and not rows[-1]:
             rows.pop()
-        t = tuple(rows)
         cols.append((x, y))
     cols.reverse()
     s = tuple(cols)

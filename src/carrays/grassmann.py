@@ -17,11 +17,10 @@ coefficients from a seeded generator, so failures are reproducible.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Mapping
 
 from .carray import TwoRowArray, array
-from .sparse import Sparse, accumulate, exact_coeff
+from .sparse import Sparse, _is_exact, accumulate, exact_coeff
 
 
 def _wedge(left: dict, right: dict) -> dict:
@@ -214,10 +213,12 @@ class M11:
         return M11(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_exact(other):
             return M11(
                 self.a * other, self.b * other, self.c * other, self.d * other
             )
+        if not isinstance(other, M11):
+            return NotImplemented
         return M11(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -226,7 +227,7 @@ class M11:
         )
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_exact(other):
             return self * other
         return NotImplemented
 

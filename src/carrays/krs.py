@@ -18,6 +18,35 @@ def _require_semistandard(t: Tableau) -> Tableau:
     return t
 
 
+def _bump(rows: list[list[int]], x: int) -> int:
+    """Row-insert ``x`` into ``rows`` in place, with no validation;
+    return the 0-based index of the row that gained a cell."""
+    for i, row in enumerate(rows):
+        j = bisect_right(row, x)
+        if j == len(row):
+            row.append(x)
+            return i
+        row[j], x = x, row[j]
+    rows.append([x])
+    return len(rows) - 1
+
+
+def _unbump(rows: list[list[int]], i: int) -> int:
+    """Remove the last cell of row ``i`` (0-based) of ``rows`` and bump
+    it upward in place, with no validation; return the value ejected
+    from the top.  An emptied last row is dropped."""
+    x = rows[i].pop()
+    for h in range(i - 1, -1, -1):
+        row = rows[h]
+        j = bisect_left(row, x) - 1
+        if j < 0:
+            raise RuntimeError("bumping path broke; input was not semistandard")
+        row[j], x = x, row[j]
+    if not rows[-1]:
+        rows.pop()
+    return x
+
+
 def insert(t: Tableau, x: int) -> tuple[Tableau, int]:
     """Insert ``x`` into a semistandard tableau by row bumping.
 
@@ -32,19 +61,8 @@ def insert(t: Tableau, x: int) -> tuple[Tableau, int]:
     if x < 1:
         raise ValueError(f"inserted value must be positive: {x}")
     rows = [list(row) for row in t]
-    rows.append([])
-    i = 0
-    while True:
-        row = rows[i]
-        j = bisect_right(row, x)
-        if j == len(row):
-            row.append(x)
-            break
-        row[j], x = x, row[j]
-        i += 1
-    if not rows[-1]:
-        rows.pop()
-    return tuple(tuple(row) for row in rows), i + 1
+    i = _bump(rows, x)
+    return tuple(map(tuple, rows)), i + 1
 
 
 def delete(t: Tableau, i: int) -> tuple[Tableau, int]:
@@ -63,13 +81,5 @@ def delete(t: Tableau, i: int) -> tuple[Tableau, int]:
     if i < r and len(t[i - 1]) == len(t[i]):
         raise ValueError(f"row {i} has no removable corner")
     rows = [list(row) for row in t]
-    x = rows[i - 1].pop()
-    for h in range(i - 2, -1, -1):
-        row = rows[h]
-        j = bisect_left(row, x) - 1
-        if j < 0:
-            raise RuntimeError("bumping path broke; input was not semistandard")
-        row[j], x = x, row[j]
-    if rows and not rows[-1]:
-        rows.pop()
-    return tuple(tuple(row) for row in rows), x
+    x = _unbump(rows, i - 1)
+    return tuple(map(tuple, rows)), x

@@ -11,14 +11,14 @@ independently.  Every monomial of an image carries one letter per
 label, so it is stored as the bitmask of its ``U`` labels; images are
 built by doubling a list of masks once per column, never by
 multiplying polynomials.  Everything is exact: coefficients are
-integers or ``Fraction`` and ranks come from fraction-free integer
-elimination.
+integers or ``Fraction``, and every rank comes from one sparse
+fraction-free elimination over the integers on dict rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .carray import TwoRowArray, array
@@ -89,25 +89,18 @@ def perm_sign(s: TwoRowArray) -> int:
     return _sign(_checked(s)[1])
 
 
-def _masks(s: TwoRowArray, crossed: bool = False) -> list[int]:
-    """The ``2**m`` distinct masks of ``prod (U_a U_b + V_a V_b)``, or
-    with ``crossed`` of ``prod (U_a V_b + U_b V_a)``."""
+def _masks(s: TwoRowArray) -> list[int]:
+    """The ``2**m`` distinct masks of ``prod (U_a U_b + V_a V_b)``."""
     masks = [0]
     for a, b in s:
-        x, y = (1 << a, 1 << b) if crossed else (0, 1 << a | 1 << b)
-        masks = [mask | x for mask in masks] + [mask | y for mask in masks]
+        both = 1 << a | 1 << b
+        masks = masks + [mask | both for mask in masks]
     return masks
 
 
 def q_poly(s: TwoRowArray) -> Poly:
     """Product over columns of ``U_a U_b + V_a V_b``."""
     return _wrap(dict.fromkeys(_masks(_checked(s)[0]), 1))
-
-
-def p_poly(s: TwoRowArray) -> Poly:
-    """Product over columns of ``U_a V_b + U_b V_a`` (the other factor
-    convention; spans combinations of the same rank as ``q_poly``)."""
-    return _wrap(dict.fromkeys(_masks(_checked(s)[0], crossed=True), 1))
 
 
 def phi(combination: Mapping[TwoRowArray, Fraction]) -> Poly:
@@ -127,51 +120,55 @@ def phi(combination: Mapping[TwoRowArray, Fraction]) -> Poly:
     return _wrap(total)
 
 
-def exact_rank(rows: Iterable[Iterable]) -> int:
-    """Rank of an exact rational matrix via fraction-free elimination.
+def _rank(rows: Iterable[dict]) -> int:
+    """Rank over Q of integer rows given as ``{column: int}`` dicts.
 
-    Rows are scaled to integers, then one-step Bareiss elimination
-    keeps every intermediate entry integral; no floating point is
-    involved anywhere.
+    A row's lead is its least column.  While a pivot owns the lead, the
+    row becomes ``a * row - b * pivot`` with ``a : b`` the two lead
+    entries in lowest terms, so the lead cancels and the entries stay
+    integral, and it is divided by the gcd of its entries.  A row with
+    a free lead becomes its pivot; one that cancels was dependent.
     """
-    mat: list[list[int]] = []
+    pivots: dict = {}
     for row in rows:
-        fracs = [x if isinstance(x, int) else Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        mat.append([int(f * scale) for f in fracs])
-    if not mat or not mat[0]:
-        return 0
-    ncols = len(mat[0])
-    if any(len(r) != ncols for r in mat):
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            row = accumulate(
+                ((col, -b * c) for col, c in pivot.items()),
+                {col: a * c for col, c in row.items()},
+            )
+            g = gcd(*row.values())
+            if g > 1:
+                row = {col: c // g for col, c in row.items()}
+    return len(pivots)
+
+
+def exact_rank(rows: Iterable[Iterable]) -> int:
+    """Rank of an exact rational matrix, by sparse fraction-free
+    elimination after scaling each row to integers; no floating point
+    is involved.  Rows of different lengths raise ``ValueError``."""
+    mat = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in rows]
+    if len({len(row) for row in mat}) > 1:
         raise ValueError("ragged matrix")
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = next(
-            (i for i in range(rank, len(mat)) if mat[i][col]), None
-        )
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            head = mat[i][col]
-            for j in range(col + 1, ncols):
-                mat[i][j] = (pivot * mat[i][j] - head * mat[rank][j]) // prev
-            mat[i][col] = 0
-        prev = pivot
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    scaled = []
+    for row in mat:
+        scale = lcm(*(f.denominator for f in row))
+        scaled.append({j: int(f * scale) for j, f in enumerate(row) if f})
+    return _rank(scaled)
 
 
 def independence_rank(arrays: Iterable[TwoRowArray]) -> int:
-    """Rank of the coefficient matrix of the signed polynomial images."""
-    images = []
+    """Rank of the signed polynomial images, as rows keyed by
+    ``(labels, mask)`` so that different label sets share no column."""
+    rows = []
     for s in arrays:
         s, word = _checked(s)
         labels = sum(1 << x for x in word)
-        images.append({(labels, mask): _sign(word) for mask in _masks(s)})
-    keys = sorted(set().union(*images))
-    return exact_rank([[image.get(key, 0) for key in keys] for image in images])
+        rows.append({(labels, mask): _sign(word) for mask in _masks(s)})
+    return _rank(rows)

@@ -36,11 +36,17 @@ def accumulate(pairs, into=None) -> dict:
     return out
 
 
+def _is_exact(value) -> bool:
+    """True for an ``int`` (not a ``bool``) or a ``Fraction``: the
+    values a coefficient or a scalar factor may take."""
+    return type(value) is int or isinstance(value, Fraction)
+
+
 def exact_coeff(value):
     """``value`` itself when it is an ``int`` or a ``Fraction``; a
     ``TypeError`` for anything else, ``bool`` and ``float`` included, so
     no inexact or accidental value becomes a coefficient."""
-    if type(value) is int or isinstance(value, Fraction):
+    if _is_exact(value):
         return value
     raise TypeError(
         f"coefficient must be an int or a Fraction, not {type(value).__name__}:"
@@ -107,7 +113,7 @@ class Sparse:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_exact(other):
             return self._new(
                 {k: other * c for k, c in self.terms.items()} if other else {}
             )
@@ -125,7 +131,7 @@ class Sparse:
         return self._new(accumulate(pairs), other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_exact(other):
             return self * other
         return NotImplemented
 

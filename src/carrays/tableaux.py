@@ -22,6 +22,8 @@ The *content* of a tableau is the vector counting how often each value
 
 from __future__ import annotations
 
+from operator import le, lt
+
 Shape = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 Content = tuple[int, ...]
@@ -53,42 +55,40 @@ def shape_of(t: Tableau) -> Shape:
     return shape(len(row) for row in t)
 
 
+def _is_semistandard(t: Tableau, strict_rows: bool) -> bool:
+    """Both conventions on a validated tableau: rows weakly and columns
+    strictly increasing, or with ``strict_rows`` the other way round."""
+    in_row, in_column = (lt, le) if strict_rows else (le, lt)
+    return all(all(map(in_row, row, row[1:])) for row in t) and all(
+        all(map(in_column, upper, lower)) for upper, lower in zip(t, t[1:])
+    )
+
+
 def is_semistandard_english(t: Tableau) -> bool:
     """Rows weakly increasing, columns strictly increasing."""
-    t = tableau(t)
-    for i, row in enumerate(t):
-        for j, x in enumerate(row):
-            if j + 1 < len(row) and x > row[j + 1]:
-                return False
-            if i + 1 < len(t) and j < len(t[i + 1]) and x >= t[i + 1][j]:
-                return False
-    return True
+    return _is_semistandard(tableau(t), strict_rows=False)
 
 
 def is_semistandard_french(t: Tableau) -> bool:
     """Rows strictly increasing, columns weakly increasing."""
-    t = tableau(t)
-    for i, row in enumerate(t):
-        for j, x in enumerate(row):
-            if j + 1 < len(row) and x >= row[j + 1]:
-                return False
-            if i + 1 < len(t) and j < len(t[i + 1]) and x > t[i + 1][j]:
-                return False
-    return True
+    return _is_semistandard(tableau(t), strict_rows=True)
 
 
-def is_double_shape(parts) -> bool:
-    """True when every part of the partition occurs an even number of times."""
-    sh = shape(parts)
+def _has_double_parts(parts) -> bool:
     counts: dict[int, int] = {}
-    for p in sh:
+    for p in parts:
         counts[p] = counts.get(p, 0) + 1
     return all(n % 2 == 0 for n in counts.values())
 
 
+def is_double_shape(parts) -> bool:
+    """True when every part of the partition occurs an even number of times."""
+    return _has_double_parts(shape(parts))
+
+
 def is_d_tableau(t: Tableau) -> bool:
     t = tableau(t)
-    return is_double_shape(shape_of(t)) and is_semistandard_english(t)
+    return _has_double_parts(map(len, t)) and _is_semistandard(t, strict_rows=False)
 
 
 def count_content(entries: list[int]) -> Content:

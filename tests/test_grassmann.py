@@ -111,6 +111,17 @@ def test_grassmann_rejects_inexact_coefficients(bad):
         GrassmannElem.monomial(2, (1,), bad)
 
 
+@pytest.mark.parametrize("bad", [True, 0.5])
+def test_scalar_products_reject_inexact_factors(bad):
+    x = GrassmannElem.scalar(2, 3)
+    with pytest.raises(TypeError):
+        x * bad
+    with pytest.raises(TypeError):
+        bad * x
+    with pytest.raises(TypeError):
+        M11.identity(2) * bad
+
+
 def test_wedge_basic():
     assert e(4, 1) * e(4, 2) == e(4, 1, 2)
     assert e(4, 2) * e(4, 1) == -1 * e(4, 1, 2)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carrays.carray import enumerate_normal
 from carrays.grassmann import GrassmannElem
@@ -10,7 +11,6 @@ from carrays.oracle import (
     Poly,
     exact_rank,
     independence_rank,
-    p_poly,
     perm_sign,
     phi,
     q_poly,
@@ -144,28 +144,19 @@ def test_phi_consistent_with_column_normalization():
         assert lhs == rhs
 
 
-def test_p_and_q_spans_have_equal_rank():
-    for m in (1, 2, 3):
-        basis = enumerate_normal((1,) * (2 * m))
-        q_rank = independence_rank(basis)
-
-        polys = [Fraction(perm_sign(s)) * p_poly(s) for s in basis]
-        monomials = sorted({mono for p in polys for mono in p.terms})
-        index = {mono: i for i, mono in enumerate(monomials)}
-        rows = []
-        for p in polys:
-            row = [Fraction(0)] * len(monomials)
-            for mono, coeff in p.terms.items():
-                row[index[mono]] = coeff
-            rows.append(row)
-        assert exact_rank(rows) == q_rank == len(basis)
-
-
 def test_independence_ranks():
     assert independence_rank(enumerate_normal((1, 1))) == 1
     assert independence_rank(enumerate_normal((1,) * 4)) == 3
     assert independence_rank(enumerate_normal((1,) * 6)) == 10
     assert independence_rank(enumerate_normal((1,) * 10)) == 126
+    assert independence_rank(enumerate_normal((1,) * 12)) == 462
+
+
+def test_independence_rank_falls_short_on_a_non_normal_array():
+    # the image of a non-normal array lies in the span of the normal ones
+    basis = enumerate_normal((1,) * 6)
+    assert len(basis) == 10
+    assert independence_rank([*basis, ((2, 1), (4, 3), (6, 5))]) == 10
 
 
 def test_rank_matches_dtableau_count():
@@ -203,6 +194,54 @@ def test_exact_rank_basics():
     )
     with pytest.raises(ValueError):
         exact_rank([[1, 2], [3]])
+
+
+def _dense_rank(rows):
+    """Reference rank: dense Gaussian elimination over ``Fraction``."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col] / mat[rank][col]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+_entries = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def matrices_with_planted_dependent_rows(draw):
+    """Base rows plus at least one row combined from them, shuffled, so
+    the rank is less than the number of rows."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(_entries, min_size=width, max_size=width)
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    combos = draw(
+        st.lists(
+            st.lists(_entries, min_size=len(base), max_size=len(base)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    planted = [
+        [sum(c * r[j] for c, r in zip(combo, base)) for j in range(width)]
+        for combo in combos
+    ]
+    return draw(st.permutations(base + planted))
+
+
+@given(rows=matrices_with_planted_dependent_rows())
+@settings(max_examples=100, deadline=None)
+def test_exact_rank_matches_dense_elimination_on_dependent_rows(rows):
+    rank = exact_rank(rows)
+    assert rank == _dense_rank(rows)
+    assert rank < len(rows)
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, True, "1/2", None])
