@@ -2,8 +2,13 @@
 test suite.
 
 Every check is exhaustive over its stated range or seeded, so results
-are reproducible bit for bit; each returns a result row with a pass
-flag and a short summary (a witness when something failed).
+are reproducible bit for bit.  A check takes no arguments and returns
+a one-line summary when it passes; when it fails it raises
+:class:`CheckFailed` with the witness.  ``CHECKS`` maps each check id
+to its function in selftest order and is the only place an id is
+written; :func:`run_check` turns one check into a :class:`CheckResult`.
+Only ``CheckFailed`` counts as a failure: any other exception is a
+fault of the engine and propagates.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from .bijection import carray_to_dtableau, dtableau_to_carray, first_row_length
 from .carray import array_content, classify, enumerate_normal, is_normal
 from .grassmann import check_identity, scalar_check, scalar_evaluation
-from .krs import insert
+from .krs import _bump, insert
 from .oracle import Poly, independence_rank, phi
 from .series import (
     SymPoly,
@@ -32,6 +38,10 @@ from .straighten import multilinearize, straighten
 from .tableaux import content_of, enumerate_ssyt, is_d_tableau
 
 GRASSMANN_SEED = 0
+
+
+class CheckFailed(Exception):
+    """An acceptance check failed; the message is its witness."""
 
 
 @dataclass
@@ -94,153 +104,94 @@ def longest_weak_increase(seq) -> int:
     return best
 
 
-def check_bijection_round_trip() -> CheckResult:
+def check_bijection_round_trip() -> str:
     arrays = 0
     for s in iter_carrays(3, 6):
         t = carray_to_dtableau(s)
         if not is_d_tableau(t) or content_of(t) != array_content(s):
-            return CheckResult(
-                "1-bijection-round-trip", False, f"bad image for {s}: {t}"
-            )
+            raise CheckFailed(f"bad image for {s}: {t}")
         if dtableau_to_carray(t) != s:
-            return CheckResult(
-                "1-bijection-round-trip", False, f"round trip broke on {s}"
-            )
+            raise CheckFailed(f"round trip broke on {s}")
         arrays += 1
     tableaux = 0
     for t in iter_dtableaux(8, 6):
         s = dtableau_to_carray(t)
         if classify(s) == "raw":
-            return CheckResult(
-                "1-bijection-round-trip", False, f"non-c-array preimage for {t}"
-            )
+            raise CheckFailed(f"non-c-array preimage for {t}")
         if carray_to_dtableau(s) != t:
-            return CheckResult(
-                "1-bijection-round-trip", False, f"round trip broke on {t}"
-            )
+            raise CheckFailed(f"round trip broke on {t}")
         tableaux += 1
-    return CheckResult(
-        "1-bijection-round-trip",
-        True,
-        f"{arrays} c-arrays and {tableaux} d-tableaux round-trip exactly",
-    )
+    return f"{arrays} c-arrays and {tableaux} d-tableaux round-trip exactly"
 
 
-def check_first_row_statistic() -> CheckResult:
+def check_first_row_statistic() -> str:
     checked = 0
     for s in iter_carrays(4, 8):
-        expected = longest_weak_increase(b for _, b in s)
-        if first_row_length(s) != expected:
-            return CheckResult(
-                "2-first-row-statistic", False, f"mismatch on {s}"
-            )
+        if first_row_length(s) != longest_weak_increase(b for _, b in s):
+            raise CheckFailed(f"mismatch on {s}")
         checked += 1
-    return CheckResult(
-        "2-first-row-statistic",
-        True,
-        f"first row equals brute-force weak LIS on {checked} c-arrays",
-    )
+    return f"first row equals brute-force weak LIS on {checked} c-arrays"
 
 
-def check_row_bumping() -> CheckResult:
+def check_row_bumping() -> str:
     # x <= y: the second box lands strictly right and weakly above;
-    # x > y: strictly below and weakly left
+    # x > y: strictly below and weakly left.  t1 came out of a
+    # validated insert, so the second insertion bumps a copy directly
     tableaux = 0
     for t in iter_semistandard(5, 6):
         for x in range(1, 7):
             t1, i = insert(t, x)
             h = len(t1[i - 1])
             for y in range(1, 7):
-                t2, j = insert(t1, y)
-                k = len(t2[j - 1])
+                rows = [list(row) for row in t1]
+                j = _bump(rows, y) + 1
+                k = len(rows[j - 1])
                 if x <= y:
                     ok = i >= j and h < k
                 else:
                     ok = i < j and h >= k
                 if not ok:
-                    return CheckResult(
-                        "3-row-bumping-lemma",
-                        False,
-                        f"violated at t={t}, x={x}, y={y}",
-                    )
+                    raise CheckFailed(f"violated at t={t}, x={x}, y={y}")
         tableaux += 1
-    return CheckResult(
-        "3-row-bumping-lemma",
-        True,
-        f"both clauses hold for {tableaux} tableaux, x, y <= 6",
-    )
+    return f"both clauses hold for {tableaux} tableaux, x, y <= 6"
 
 
-def check_normal_counts() -> CheckResult:
-    from math import comb
-
+def check_normal_counts() -> str:
     for s in range(1, 6):
         expected = comb(2 * s - 1, s)
         got = len(enumerate_normal((1,) * (2 * s)))
         if got != expected:
-            return CheckResult(
-                "4-normal-array-counts",
-                False,
-                f"multilinear with {2 * s} ones: got {got}, want {expected}",
+            raise CheckFailed(
+                f"multilinear with {2 * s} ones: got {got}, want {expected}"
             )
     for q in range(5):
         expected = 1 if q % 2 == 0 else 0
         got = len(enumerate_normal((2,) * q))
         if got != expected:
-            return CheckResult(
-                "4-normal-array-counts",
-                False,
-                f"all-twos with q={q}: got {got}, want {expected}",
-            )
-    return CheckResult(
-        "4-normal-array-counts",
-        True,
-        "multilinear counts 1,3,10,35,126 and all-twos counts 1/0 match",
-    )
+            raise CheckFailed(f"all-twos with q={q}: got {got}, want {expected}")
+    return "multilinear counts 1,3,10,35,126 and all-twos counts 1/0 match"
 
 
-def check_content_reduction() -> CheckResult:
+def check_content_reduction() -> str:
     by_multiset: dict[tuple[int, ...], int] = {}
     contents = 0
     for counts in product((0, 1, 2), repeat=8):
         n = len(enumerate_normal(counts))
-        key = tuple(sorted(counts))
-        if key in by_multiset:
-            if by_multiset[key] != n:
-                return CheckResult(
-                    "5-content-permutation-reduction",
-                    False,
-                    f"permutation changed the count at {counts}",
-                )
-        else:
-            by_multiset[key] = n
+        if by_multiset.setdefault(tuple(sorted(counts)), n) != n:
+            raise CheckFailed(f"permutation changed the count at {counts}")
         ones = counts.count(1)
         twos = counts.count(2)
         reduced = (1,) * ones + ((2,) if twos % 2 else ())
         if n != len(enumerate_normal(reduced)):
-            return CheckResult(
-                "5-content-permutation-reduction",
-                False,
-                f"reduction mismatch at {counts}",
-            )
+            raise CheckFailed(f"reduction mismatch at {counts}")
         if twos % 2 and ones > 0 and n != len(enumerate_normal((1,) * ones)):
-            return CheckResult(
-                "5-content-permutation-reduction",
-                False,
-                f"two-step reduction mismatch at {counts}",
-            )
+            raise CheckFailed(f"two-step reduction mismatch at {counts}")
         if n != dimension(counts):
-            return CheckResult(
-                "5-content-permutation-reduction",
-                False,
-                f"dimension formula mismatch at {counts}",
-            )
+            raise CheckFailed(f"dimension formula mismatch at {counts}")
         contents += 1
-    return CheckResult(
-        "5-content-permutation-reduction",
-        True,
+    return (
         f"{contents} contents: counts permutation-invariant, reduce correctly, "
-        "match the dimension formula",
+        "match the dimension formula"
     )
 
 
@@ -253,7 +204,7 @@ def split_phi(combination) -> Poly:
     )
 
 
-def check_straightening_soundness() -> CheckResult:
+def check_straightening_soundness() -> str:
     checked = 0
     for m in range(4):
         for word in product(range(1, 7), repeat=2 * m):
@@ -261,17 +212,9 @@ def check_straightening_soundness() -> CheckResult:
                 continue
             s = tuple(zip(word[0::2], word[1::2]))
             if split_phi({s: 1}) != split_phi(straighten(s)):
-                return CheckResult(
-                    "6a-straightening-phi-soundness",
-                    False,
-                    f"oracle mismatch on {s}",
-                )
+                raise CheckFailed(f"oracle mismatch on {s}")
             checked += 1
-    return CheckResult(
-        "6a-straightening-phi-soundness",
-        True,
-        f"exact polynomial identity for {checked} arrays (m <= 3, entries <= 6)",
-    )
+    return f"exact polynomial identity for {checked} arrays (m <= 3, entries <= 6)"
 
 
 # offending array -> its solved straightening, one fixture per collected
@@ -300,187 +243,113 @@ DERIVED_FORM_FIXTURES = {
 }
 
 
-def check_derived_forms() -> CheckResult:
+def check_derived_forms() -> str:
     for source, expected in DERIVED_FORM_FIXTURES.items():
         got = straighten(source)
         if got != expected:
-            return CheckResult(
-                "6b-straightening-derived-forms",
-                False,
-                f"{source}: got {got}, want {expected}",
-            )
+            raise CheckFailed(f"{source}: got {got}, want {expected}")
         if not all(is_normal(t) for t in got):
-            return CheckResult(
-                "6b-straightening-derived-forms",
-                False,
-                f"{source}: non-normal output",
-            )
-    return CheckResult(
-        "6b-straightening-derived-forms",
-        True,
+            raise CheckFailed(f"{source}: non-normal output")
+    return (
         f"all {len(DERIVED_FORM_FIXTURES)} collected relation forms reproduced "
-        "with coefficients in {-1, -2, -1/2}",
+        "with coefficients in {-1, -2, -1/2}"
     )
 
 
-def check_independence_ranks() -> CheckResult:
-    expected = {1: 1, 2: 3, 3: 10, 4: 35}
-    for m, want in expected.items():
+def check_independence_ranks() -> str:
+    for m, want in {1: 1, 2: 3, 3: 10, 4: 35}.items():
         basis = enumerate_normal((1,) * (2 * m))
         if len(basis) != want or independence_rank(basis) != want:
-            return CheckResult(
-                "7-independence-ranks",
-                False,
-                f"2m={2 * m}: rank {independence_rank(basis)} of {len(basis)}, want {want}",
+            raise CheckFailed(
+                f"2m={2 * m}: rank {independence_rank(basis)} of {len(basis)}, want {want}"
             )
-    return CheckResult(
-        "7-independence-ranks",
-        True,
-        "multilinear images have full ranks 1, 3, 10, 35 (exact elimination)",
-    )
+    return "multilinear images have full ranks 1, 3, 10, 35 (exact elimination)"
 
 
-def check_hilbert_three_way() -> CheckResult:
+def check_hilbert_three_way() -> str:
     for k in (1, 2, 3):
         closed = carini_drensky(k, 8)
         tableaux = hilbert_by_tableaux(k, 8)
         dims = hilbert_by_dimension(k, 8)
         if not (closed == tableaux == dims):
-            return CheckResult(
-                "8-hilbert-three-way",
-                False,
-                f"k={k}: {closed!r} vs {tableaux!r} vs {dims!r}",
-            )
+            raise CheckFailed(f"k={k}: {closed!r} vs {tableaux!r} vs {dims!r}")
     spot = SymPoly(
         2,
         {(0, 0): Fraction(1), (1, 1): Fraction(1), (2, 2): Fraction(1)},
         maxdeg=8,
     )
     if carini_drensky(2, 8) != spot:
-        return CheckResult(
-            "8-hilbert-three-way", False, f"k=2 spot value differs: {carini_drensky(2, 8)!r}"
-        )
-    return CheckResult(
-        "8-hilbert-three-way",
-        True,
+        raise CheckFailed(f"k=2 spot value differs: {carini_drensky(2, 8)!r}")
+    return (
         "closed form = Schur sum = dimension sum for k <= 3, degree <= 8; "
-        "k=2 value is 1 + t1*t2 + t1^2*t2^2",
+        "k=2 value is 1 + t1*t2 + t1^2*t2^2"
     )
 
 
-def check_codimension_series() -> CheckResult:
+def check_codimension_series() -> str:
     coeffs = gamma_coefficients(4)
     if any(coeffs[i] for i in range(1, len(coeffs), 2)):
-        return CheckResult(
-            "9-codimension-series", False, "odd coefficient is nonzero"
-        )
+        raise CheckFailed("odd coefficient is nonzero")
     for m in range(1, 5):
         count = len(enumerate_normal((1,) * (2 * m)))
         if coeffs[2 * m] != count:
-            return CheckResult(
-                "9-codimension-series",
-                False,
-                f"z^{2 * m}: series {coeffs[2 * m]}, enumeration {count}",
-            )
+            raise CheckFailed(f"z^{2 * m}: series {coeffs[2 * m]}, enumeration {count}")
     if coeffs[0] != 1:
-        return CheckResult("9-codimension-series", False, "constant term != 1")
-    return CheckResult(
-        "9-codimension-series",
-        True,
-        "series matches enumeration (1, 3, 10, 35) at z^2..z^8; odd terms vanish",
-    )
+        raise CheckFailed("constant term != 1")
+    return "series matches enumeration (1, 3, 10, 35) at z^2..z^8; odd terms vanish"
 
 
-def check_identity_c3() -> CheckResult:
-    witness = check_identity("c3", samples=100, gens=12, seed=GRASSMANN_SEED)
+def _vanishes(identity: str, gens: int) -> str:
+    witness = check_identity(identity, samples=100, gens=gens, seed=GRASSMANN_SEED)
     if witness is not None:
-        return CheckResult(
-            "10a-weak-identity-c3", False, f"failed at sample {witness[0]}"
-        )
-    return CheckResult(
-        "10a-weak-identity-c3",
-        True,
-        f"100 seeded substitutions vanish (g=12, seed={GRASSMANN_SEED})",
-    )
+        raise CheckFailed(f"failed at sample {witness[0]}")
+    return f"100 seeded substitutions vanish (g={gens}, seed={GRASSMANN_SEED})"
 
 
-def check_identity_p() -> CheckResult:
-    witness = check_identity("p", samples=100, gens=16, seed=GRASSMANN_SEED)
-    if witness is not None:
-        return CheckResult(
-            "10b-weak-identity-p", False, f"failed at sample {witness[0]}"
-        )
-    return CheckResult(
-        "10b-weak-identity-p",
-        True,
-        f"100 seeded substitutions vanish (g=16, seed={GRASSMANN_SEED})",
-    )
+def check_identity_c3() -> str:
+    return _vanishes("c3", 12)
 
 
-def check_non_identity() -> CheckResult:
+def check_identity_p() -> str:
+    return _vanishes("p", 16)
+
+
+def check_non_identity() -> str:
     witness = check_identity("c2", samples=100, gens=12, seed=GRASSMANN_SEED)
     if witness is None:
-        return CheckResult(
-            "10c-non-identity-witness",
-            False,
-            "a bare commutator vanished on all 100 samples",
-        )
-    return CheckResult(
-        "10c-non-identity-witness",
-        True,
-        f"bare commutator fails at sample {witness[0]} (g=12, seed={GRASSMANN_SEED})",
-    )
+        raise CheckFailed("a bare commutator vanished on all 100 samples")
+    return f"bare commutator fails at sample {witness[0]} (g=12, seed={GRASSMANN_SEED})"
 
 
-def check_squared_pair_scalar() -> CheckResult:
+def check_squared_pair_scalar() -> str:
     for r in (1, 2):
         if not scalar_check(r):
-            return CheckResult(
-                "10d-squared-pair-scalar",
-                False,
-                f"r={r}: evaluation {scalar_evaluation(r)!r}",
-            )
-    return CheckResult(
-        "10d-squared-pair-scalar",
-        True,
-        "scalars 2 and 4 on the pair-ordered monomial for r=1, 2, exact",
-    )
+            raise CheckFailed(f"r={r}: evaluation {scalar_evaluation(r)!r}")
+    return "scalars 2 and 4 on the pair-ordered monomial for r=1, 2, exact"
 
 
-ALL_CHECKS = [
-    check_bijection_round_trip,
-    check_first_row_statistic,
-    check_row_bumping,
-    check_normal_counts,
-    check_content_reduction,
-    check_straightening_soundness,
-    check_derived_forms,
-    check_independence_ranks,
-    check_hilbert_three_way,
-    check_codimension_series,
-    check_identity_c3,
-    check_identity_p,
-    check_non_identity,
-    check_squared_pair_scalar,
-]
-
-CHECK_IDS = [
-    "1-bijection-round-trip",
-    "2-first-row-statistic",
-    "3-row-bumping-lemma",
-    "4-normal-array-counts",
-    "5-content-permutation-reduction",
-    "6a-straightening-phi-soundness",
-    "6b-straightening-derived-forms",
-    "7-independence-ranks",
-    "8-hilbert-three-way",
-    "9-codimension-series",
-    "10a-weak-identity-c3",
-    "10b-weak-identity-p",
-    "10c-non-identity-witness",
-    "10d-squared-pair-scalar",
-]
+CHECKS = {
+    "1-bijection-round-trip": check_bijection_round_trip,
+    "2-first-row-statistic": check_first_row_statistic,
+    "3-row-bumping-lemma": check_row_bumping,
+    "4-normal-array-counts": check_normal_counts,
+    "5-content-permutation-reduction": check_content_reduction,
+    "6a-straightening-phi-soundness": check_straightening_soundness,
+    "6b-straightening-derived-forms": check_derived_forms,
+    "7-independence-ranks": check_independence_ranks,
+    "8-hilbert-three-way": check_hilbert_three_way,
+    "9-codimension-series": check_codimension_series,
+    "10a-weak-identity-c3": check_identity_c3,
+    "10b-weak-identity-p": check_identity_p,
+    "10c-non-identity-witness": check_non_identity,
+    "10d-squared-pair-scalar": check_squared_pair_scalar,
+}
 
 
-def run_all() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+def run_check(check_id: str) -> CheckResult:
+    """Run the check registered as ``check_id``; a ``CheckFailed`` is
+    a failed result with its witness, anything else propagates."""
+    try:
+        return CheckResult(check_id, True, CHECKS[check_id]())
+    except CheckFailed as failure:
+        return CheckResult(check_id, False, str(failure))

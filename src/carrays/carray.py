@@ -102,18 +102,13 @@ def is_c_array(s: TwoRowArray) -> bool:
 
 
 def is_normal(s: TwoRowArray) -> bool:
-    s = array(s)
-    return (
-        is_c_array(s)
-        and has_bounded_multiplicity(s)
-        and has_no_weak_bottom_triple(s)
-    )
+    return classify(s) == "normal"
 
 
 def classify(s: TwoRowArray) -> str:
     """Return ``"normal"``, ``"c_array"`` or ``"raw"``."""
     s = array(s)
-    if not is_c_array(s):
+    if not (has_descending_columns(s) and has_sorted_columns(s)):
         return "raw"
     if has_bounded_multiplicity(s) and has_no_weak_bottom_triple(s):
         return "normal"

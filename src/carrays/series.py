@@ -79,9 +79,16 @@ class SymPoly(Sparse):
         result.nvars, result.maxdeg = self.nvars, maxdeg
         return result
 
-    @staticmethod
-    def _key_product(e1: Exponents, e2: Exponents) -> tuple[Exponents, int]:
-        return tuple(a + b for a, b in zip(e1, e2)), 1
+    def __mul__(self, other):
+        if not isinstance(other, SymPoly):
+            return super().__mul__(other)
+        self._require_same(other)
+        pairs = (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return self._new(accumulate(pairs), other)
 
     @staticmethod
     def _sort_key(expo: Exponents):

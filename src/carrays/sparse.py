@@ -7,10 +7,11 @@ combinations are equal exactly when their dicts are.  ``accumulate`` is
 the add-and-cancel step every combination in the package goes through.
 ``Sparse`` is the arithmetic shared by ``Poly``, ``SymPoly`` and
 ``GrassmannElem``; a subclass says only how its constructor validates,
-which space its elements live in, how a key sorts and prints and, for
-``SymPoly``, how two keys multiply.  ``GrassmannElem`` multiplies in
-its own kernel on generator bitmasks, and ``Poly`` is only ever added
-and scaled.  Every constructor takes its coefficients through
+which space its elements live in and how a key sorts and prints.
+``Sparse`` adds, negates and scales; ``SymPoly`` and ``GrassmannElem``
+each own their product of two elements (exponent vectors add,
+generator bitmasks wedge), and ``Poly`` is only ever added and
+scaled.  Every constructor takes its coefficients through
 ``exact_coeff``, so a coefficient is an ``int`` or a ``Fraction`` and
 an exact integer stays ``int``.
 """
@@ -58,18 +59,17 @@ class Sparse:
     """Exact linear combination of keys with nonzero ``int`` or
     ``Fraction`` coefficients in ``terms``.
 
-    Subclasses supply ``_sort_key`` and ``_key_text`` for printing and,
-    to multiply two elements, ``_key_product(k1, k2) -> (key, sign)``
-    with sign ``1``, ``-1``, or ``0`` when the product vanishes.  Those
-    living in a space (a number of variables or generators) override
-    ``_space``, ``_SPACE_NAME`` and ``_new``.
+    Subclasses supply ``_sort_key`` and ``_key_text`` for printing;
+    those living in a space (a number of variables or generators)
+    override ``_space``, ``_SPACE_NAME`` and ``_new``.  Multiplication
+    here is by an exact scalar only; a subclass that multiplies two
+    elements overrides ``__mul__``.
     """
 
     __slots__ = ("terms",)
 
     _SPACE_NAME = ""
     _sort_key = None
-    _key_product = None
 
     def _space(self):
         """What two operands must share; elements of different spaces
@@ -117,18 +117,7 @@ class Sparse:
             return self._new(
                 {k: other * c for k, c in self.terms.items()} if other else {}
             )
-        if self._key_product is None or not isinstance(other, Sparse):
-            return NotImplemented
-        self._require_same(other)
-        product = self._key_product
-        pairs = (
-            (key, c1 * c2 if sign > 0 else -(c1 * c2))
-            for k1, c1 in self.terms.items()
-            for k2, c2 in other.terms.items()
-            for key, sign in (product(k1, k2),)
-            if sign
-        )
-        return self._new(accumulate(pairs), other)
+        return NotImplemented
 
     def __rmul__(self, other):
         if _is_exact(other):

@@ -265,12 +265,19 @@ def test_unknown_subcommand_exits_2(capsys, monkeypatch):
     assert excinfo.value.code == 2
 
 
+def stub_pass():
+    return "fine"
+
+
+def stub_fail():
+    raise acceptance.CheckFailed("witness")
+
+
+STUB_CHECKS = {"1-stub-pass": stub_pass, "2-stub-fail": stub_fail}
+
+
 def test_selftest_reports_every_check(capsys, monkeypatch):
-    checks = [
-        lambda: acceptance.CheckResult("1-stub-pass", True, "fine"),
-        lambda: acceptance.CheckResult("2-stub-fail", False, "witness"),
-    ]
-    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
+    monkeypatch.setattr(acceptance, "CHECKS", STUB_CHECKS)
     code, out, _ = run_cli(capsys, monkeypatch, ["selftest"])
     assert code == 1
     assert out.splitlines() == [
@@ -282,11 +289,7 @@ def test_selftest_reports_every_check(capsys, monkeypatch):
 
 
 def test_selftest_times_each_check(capsys, monkeypatch):
-    checks = [
-        lambda: acceptance.CheckResult("1-stub-pass", True, "fine"),
-        lambda: acceptance.CheckResult("2-stub-fail", False, "witness"),
-    ]
-    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
+    monkeypatch.setattr(acceptance, "CHECKS", STUB_CHECKS)
     code, out, err = run_cli(capsys, monkeypatch, ["selftest"])
     assert code == 1
     timings = err.splitlines()
@@ -305,6 +308,6 @@ def test_selftest_times_each_check(capsys, monkeypatch):
     )
     assert len(err.splitlines()) == 2
 
-    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks[:1])
+    monkeypatch.setattr(acceptance, "CHECKS", {"1-stub-pass": stub_pass})
     code, out, _ = run_cli(capsys, monkeypatch, ["selftest", "--json"])
     assert code == 0 and json.loads(out)["checks"][0]["passed"] is True

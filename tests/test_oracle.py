@@ -258,6 +258,15 @@ def test_poly_keeps_exact_coefficients():
     assert p.terms[_mask(2)] == Fraction(1, 2)
 
 
+def test_only_sympoly_and_grassmann_elements_multiply():
+    p = phi({((2, 1),): 1})
+    with pytest.raises(TypeError):
+        p * p
+    with pytest.raises(TypeError):
+        SymPoly.constant(2, 1) * GrassmannElem.scalar(2, 1)
+    assert 2 * p == p + p
+
+
 def test_equal_terms_in_different_classes_differ():
     assert GrassmannElem(0, {(): 1}).terms == SymPoly.constant(0, 1).terms
     assert GrassmannElem(0, {(): 1}) != SymPoly.constant(0, 1)
