@@ -21,7 +21,7 @@ from math import comb
 
 from .bijection import carray_to_dtableau, dtableau_to_carray, first_row_length
 from .carray import array_content, classify, enumerate_normal, is_normal
-from .grassmann import check_identity, scalar_check, scalar_evaluation
+from .grassmann import IDENTITIES, check_identity, scalar_check, scalar_evaluation
 from .krs import _bump, insert
 from .oracle import Poly, independence_rank, phi
 from .series import (
@@ -299,7 +299,8 @@ def check_codimension_series() -> str:
     return "series matches enumeration (1, 3, 10, 35) at z^2..z^8; odd terms vanish"
 
 
-def _vanishes(identity: str, gens: int) -> str:
+def _vanishes(identity: str) -> str:
+    gens = IDENTITIES[identity][1]
     witness = check_identity(identity, samples=100, gens=gens, seed=GRASSMANN_SEED)
     if witness is not None:
         raise CheckFailed(f"failed at sample {witness[0]}")
@@ -307,18 +308,19 @@ def _vanishes(identity: str, gens: int) -> str:
 
 
 def check_identity_c3() -> str:
-    return _vanishes("c3", 12)
+    return _vanishes("c3")
 
 
 def check_identity_p() -> str:
-    return _vanishes("p", 16)
+    return _vanishes("p")
 
 
 def check_non_identity() -> str:
-    witness = check_identity("c2", samples=100, gens=12, seed=GRASSMANN_SEED)
+    gens = IDENTITIES["c2"][1]
+    witness = check_identity("c2", samples=100, gens=gens, seed=GRASSMANN_SEED)
     if witness is None:
         raise CheckFailed("a bare commutator vanished on all 100 samples")
-    return f"bare commutator fails at sample {witness[0]} (g=12, seed={GRASSMANN_SEED})"
+    return f"bare commutator fails at sample {witness[0]} (g={gens}, seed={GRASSMANN_SEED})"
 
 
 def check_squared_pair_scalar() -> str:

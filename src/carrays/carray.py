@@ -54,14 +54,6 @@ def array_content(s: TwoRowArray) -> Content:
     return count_content([x for col in s for x in col])
 
 
-def has_descending_columns(s: TwoRowArray) -> bool:
-    return all(a > b for a, b in s)
-
-
-def has_sorted_columns(s: TwoRowArray) -> bool:
-    return all(s[i] <= s[i + 1] for i in range(len(s) - 1))
-
-
 def has_bounded_multiplicity(s: TwoRowArray) -> bool:
     return all(n <= 2 for n in array_content(s))
 
@@ -97,8 +89,13 @@ def has_no_weak_bottom_triple(s: TwoRowArray) -> bool:
 
 
 def is_c_array(s: TwoRowArray) -> bool:
-    s = array(s)
-    return has_descending_columns(s) and has_sorted_columns(s)
+    return _is_c_array(array(s))
+
+
+def _is_c_array(s: TwoRowArray) -> bool:
+    """Every column descending and the columns weakly increasing, on an
+    array already validated."""
+    return all(a > b for a, b in s) and all(x <= y for x, y in zip(s, s[1:]))
 
 
 def is_normal(s: TwoRowArray) -> bool:
@@ -108,7 +105,7 @@ def is_normal(s: TwoRowArray) -> bool:
 def classify(s: TwoRowArray) -> str:
     """Return ``"normal"``, ``"c_array"`` or ``"raw"``."""
     s = array(s)
-    if not (has_descending_columns(s) and has_sorted_columns(s)):
+    if not _is_c_array(s):
         return "raw"
     if has_bounded_multiplicity(s) and has_no_weak_bottom_triple(s):
         return "normal"
@@ -117,7 +114,7 @@ def classify(s: TwoRowArray) -> str:
 
 def _require_c_array(s: TwoRowArray) -> TwoRowArray:
     s = array(s)
-    if not is_c_array(s):
+    if not _is_c_array(s):
         raise ValueError(f"not a c-array: {s}")
     return s
 

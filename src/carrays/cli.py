@@ -29,7 +29,7 @@ from .carray import (
     enumerate_normal,
     normalize,
 )
-from .grassmann import IDENTITY_ARITY, check_identity
+from .grassmann import IDENTITIES, check_identity
 from .series import (
     carini_drensky,
     dimension,
@@ -45,7 +45,11 @@ from .tableaux import (
     tableau_to_text,
 )
 
-DEFAULT_GENERATORS = {"c3": 12, "p": 16, "c2": 12}
+HILBERT_METHODS = {
+    "cd": carini_drensky,
+    "tableaux": hilbert_by_tableaux,
+    "dims": hilbert_by_dimension,
+}
 
 
 def _parse_content(text: str) -> tuple[int, ...]:
@@ -155,12 +159,7 @@ def cmd_hilbert(args) -> int:
             f"warning: k={args.k} variables; this may be slow",
             file=sys.stderr,
         )
-    method = {
-        "cd": carini_drensky,
-        "tableaux": hilbert_by_tableaux,
-        "dims": hilbert_by_dimension,
-    }[args.method]
-    print(method(args.k, args.maxdeg))
+    print(HILBERT_METHODS[args.method](args.k, args.maxdeg))
     return 0
 
 
@@ -174,7 +173,7 @@ def cmd_codim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    gens = args.generators or DEFAULT_GENERATORS[args.identity]
+    gens = args.generators or IDENTITIES[args.identity][1]
     witness = check_identity(
         args.identity, samples=args.samples, gens=gens, seed=args.seed
     )
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert series in k variables")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--maxdeg", type=int, default=8)
-    p.add_argument("--method", choices=("cd", "tableaux", "dims"), default="cd")
+    p.add_argument("--method", choices=HILBERT_METHODS, default="cd")
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("codim", help="codimension series coefficients")
@@ -288,10 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        help="randomized vanishing check on supertrace-zero matrices "
-        "(c2 is a non-identity and demonstrates the failure path)",
+        help="randomized vanishing check on supertrace-zero matrices: c3 "
+        "is [[x1,x2],x3], p the array (2,1)(3,1)(4,1), c2 the bare "
+        "commutator (1,2), a non-identity that shows the failure path",
     )
-    p.add_argument("--identity", choices=sorted(IDENTITY_ARITY), required=True)
+    p.add_argument("--identity", choices=sorted(IDENTITIES), required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--generators", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

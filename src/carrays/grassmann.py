@@ -7,7 +7,9 @@ even and off-diagonal entries odd.  The supertrace of such a matrix is
 ``a - d``, and the supertrace-zero matrices are the substitution space
 for the weak-identity checks: the triple commutator ``[[x1,x2],x3]``
 and the product ``[x2,x1][x3,x1][x4,x1]`` vanish on it identically,
-while a bare commutator does not.
+while a bare commutator does not.  ``IDENTITIES`` tables the three;
+the product and the bare commutator are the arrays ``(2,1)(3,1)(4,1)``
+and ``(1,2)``, evaluated like any other array.
 
 Randomized verification draws matrices whose entries mix monomial
 degrees (0 and 2 on the diagonal, 1 and 3 off it) with small integer
@@ -17,6 +19,7 @@ coefficients from a seeded generator, so failures are reproducible.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from typing import Mapping
 
 from .carray import TwoRowArray, array
@@ -95,10 +98,6 @@ class GrassmannElem(Sparse):
         self.terms = accumulate(pairs)
 
     @classmethod
-    def zero(cls, gens: int) -> "GrassmannElem":
-        return cls(gens)
-
-    @classmethod
     def scalar(cls, gens: int, value) -> "GrassmannElem":
         return cls(gens, {(): value})
 
@@ -162,23 +161,23 @@ class M11:
 
     @classmethod
     def zero(cls, gens: int) -> "M11":
-        z = GrassmannElem.zero(gens)
+        z = GrassmannElem(gens)
         return cls(z, z, z, z)
 
     @classmethod
     def identity(cls, gens: int) -> "M11":
         one = GrassmannElem.scalar(gens, 1)
-        z = GrassmannElem.zero(gens)
+        z = GrassmannElem(gens)
         return cls(one, z, z, one)
 
     @classmethod
     def antidiag(cls, upper: GrassmannElem, lower: GrassmannElem) -> "M11":
-        z = GrassmannElem.zero(upper.gens)
+        z = GrassmannElem(upper.gens)
         return cls(z, upper, lower, z)
 
     @classmethod
     def central(cls, value: GrassmannElem) -> "M11":
-        z = GrassmannElem.zero(value.gens)
+        z = GrassmannElem(value.gens)
         return cls(value, z, z, value)
 
     def supertrace(self) -> GrassmannElem:
@@ -239,27 +238,40 @@ def commutator(x: M11, y: M11) -> M11:
     return x * y - y * x
 
 
-def eval_array(s: TwoRowArray, assignment: Mapping[int, M11], gens=None) -> M11:
+def eval_array(s: TwoRowArray, assignment: Mapping[int, M11]) -> M11:
     """Evaluate the product of column commutators at supertrace-zero
-    matrices; the empty array gives the identity matrix."""
+    matrices; the empty array gives the identity matrix on the
+    assignment's generators, or on 0 when the assignment is empty."""
     s = array(s)
-    needed = sorted({x for col in s for x in col})
-    for v in needed:
+    for v in sorted({x for col in s for x in col}):
         if v not in assignment:
             raise ValueError(f"variable {v} has no assigned matrix")
         if assignment[v].supertrace():
             raise ValueError(f"assigned matrix for variable {v} has nonzero supertrace")
-    if gens is None:
-        if needed:
-            gens = assignment[needed[0]].gens
-        elif assignment:
-            gens = next(iter(assignment.values())).gens
+    return _evaluate({s: 1}, assignment)
+
+
+def _evaluate(f, assignment: Mapping[int, M11]):
+    """``f``, a function of the assignment or a combination of arrays,
+    at the assignment (``None`` for the empty combination).  An array is
+    its column commutators multiplied from the first one; each distinct
+    column's commutator is computed once, however many arrays share it."""
+    if callable(f):
+        return f(assignment)
+    commutators: dict = {}
+    total = None
+    for s, c in f.items():
+        for a, b in s:
+            if (a, b) not in commutators:
+                commutators[a, b] = commutator(assignment[a], assignment[b])
+        if s:
+            value = reduce(M11.__mul__, [commutators[col] for col in s])
         else:
-            gens = 0
-    acc = M11.identity(gens)
-    for a, b in s:
-        acc = acc * commutator(assignment[a], assignment[b])
-    return acc
+            gens = next(iter(assignment.values())).gens if assignment else 0
+            value = M11.identity(gens)
+        value = value if c == 1 else value * c
+        total = value if total is None else total + value
+    return total
 
 
 def random_w(gens: int, rng: random.Random) -> M11:
@@ -285,61 +297,38 @@ def random_w(gens: int, rng: random.Random) -> M11:
     return M11(diag, entry((1, 1, 3)), entry((1, 1, 3)), diag)
 
 
-def _eval_c3(ws: list[M11]) -> M11:
-    return commutator(commutator(ws[0], ws[1]), ws[2])
-
-
-def _eval_p(ws: list[M11]) -> M11:
-    return (
-        commutator(ws[1], ws[0])
-        * commutator(ws[2], ws[0])
-        * commutator(ws[3], ws[0])
-    )
-
-
-def _eval_c2(ws: list[M11]) -> M11:
-    return commutator(ws[0], ws[1])
-
-
-IDENTITY_ARITY = {"c3": 3, "p": 4, "c2": 2}
-_IDENTITY_EVAL = {"c3": _eval_c3, "p": _eval_p, "c2": _eval_c2}
+# name -> (variables, default generators, polynomial).  A polynomial
+# that is a product of column commutators is written as its array and
+# evaluated like any combination; only the nested c3 keeps a function.
+IDENTITIES = {
+    "c3": (3, 12, lambda w: commutator(commutator(w[1], w[2]), w[3])),
+    "p": (4, 16, {((2, 1), (3, 1), (4, 1)): 1}),
+    "c2": (2, 12, {((1, 2),): 1}),
+}
 
 
 def check_identity(f, samples: int = 100, gens: int = 12, seed: int = 0):
     """Evaluate ``f`` on seeded random supertrace-zero substitutions.
 
-    ``f`` is one of the names ``"c3"`` (triple commutator), ``"p"``
-    (the commutator product sharing one variable), ``"c2"`` (a bare
-    commutator, not an identity), or a linear combination mapping
-    arrays to coefficients.  Returns ``None`` when every sample
-    vanishes, else ``(sample_index, matrices)`` for the first
-    counterexample.  ``samples`` must be positive: zero samples would
-    vanish on any ``f``.
+    ``f`` is a name of :data:`IDENTITIES` (``"c2"`` is not an identity)
+    or a linear combination mapping arrays to coefficients.  Returns
+    ``None`` when every sample vanishes, else ``(sample_index,
+    matrices)`` for the first counterexample.  ``samples`` must be
+    positive: zero samples would vanish on any ``f``.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if isinstance(f, str):
-        if f not in _IDENTITY_EVAL:
+        if f not in IDENTITIES:
             raise ValueError(f"unknown identity name: {f!r}")
-        arity = IDENTITY_ARITY[f]
-        evaluate = _IDENTITY_EVAL[f]
+        arity, _, f = IDENTITIES[f]
     else:
-        combination = {array(s): exact_coeff(c) for s, c in f.items()}
-        arity = max(
-            (x for s in combination for col in s for x in col), default=0
-        )
-
-        def evaluate(ws: list[M11]) -> M11:
-            assignment = {v + 1: w for v, w in enumerate(ws)}
-            total = M11.zero(gens)
-            for s, c in combination.items():
-                total = total + eval_array(s, assignment, gens=gens) * c
-            return total
-
+        f = {array(s): exact_coeff(c) for s, c in f.items()}
+        arity = max((x for s in f for col in s for x in col), default=0)
     rng = random.Random(seed)
     for index in range(samples):
         ws = [random_w(gens, rng) for _ in range(arity)]
-        if evaluate(ws):
+        if _evaluate(f, dict(enumerate(ws, start=1))):
             return index, ws
     return None
 
@@ -371,7 +360,7 @@ def scalar_evaluation(r: int) -> M11:
         )
         for i in range(1, 2 * r + 1)
     }
-    return eval_array(squared_pair_array(r), assignment, gens=gens)
+    return eval_array(squared_pair_array(r), assignment)
 
 
 def scalar_check(r: int) -> bool:

@@ -1,5 +1,6 @@
 import pytest
 
+from carrays import carray
 from carrays.acceptance import iter_carrays, longest_weak_increase
 from carrays.bijection import (
     carray_to_dtableau,
@@ -37,6 +38,22 @@ def test_empty():
 def test_rejects_non_c_array():
     with pytest.raises(ValueError):
         carray_to_dtableau(((1, 2),))
+
+
+def test_validates_the_array_once(monkeypatch):
+    calls = []
+    validate = carray.array
+
+    def counted(columns):
+        calls.append(columns)
+        return validate(columns)
+
+    monkeypatch.setattr(carray, "array", counted)
+    assert carray_to_dtableau(((2, 1), (3, 1))) == ((1, 1), (2, 3))
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        carray_to_dtableau(((1, 2),))
+    assert len(calls) == 2
 
 
 def test_rejects_non_d_tableau():

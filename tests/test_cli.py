@@ -145,7 +145,7 @@ def test_hilbert_slowness_warning_follows_k(capsys, monkeypatch):
         assert err == ""
     # ten variables are slow even at the default degree; the series
     # itself is stubbed out
-    monkeypatch.setattr(cli, "carini_drensky", lambda k, maxdeg: "stub")
+    monkeypatch.setitem(cli.HILBERT_METHODS, "cd", lambda k, maxdeg: "stub")
     code, out, err = run_cli(capsys, monkeypatch, ["hilbert", "--k", "10"])
     assert code == 0
     assert out == "stub\n"

@@ -5,7 +5,9 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carrays import grassmann
 from carrays.grassmann import (
+    IDENTITIES,
     GrassmannElem,
     M11,
     check_identity,
@@ -149,7 +151,7 @@ def test_grassmann_repr():
 def test_parity():
     assert e(4, 1, 2).is_even()
     assert e(4, 3).is_odd()
-    assert GrassmannElem.zero(4).is_even() and GrassmannElem.zero(4).is_odd()
+    assert GrassmannElem(4).is_even() and GrassmannElem(4).is_odd()
 
 
 def test_m11_parity_enforced():
@@ -181,6 +183,8 @@ def test_eval_array_single_commutator():
 
 def test_eval_array_empty_is_identity():
     assert eval_array((), {}) == M11.identity(0)
+    w = random_w(5, random.Random(2))
+    assert eval_array((), {1: w}) == M11.identity(w.gens)
 
 
 def test_eval_array_requires_supertrace_zero():
@@ -189,7 +193,7 @@ def test_eval_array_requires_supertrace_zero():
         GrassmannElem.scalar(gens, 1),
         e(gens, 1),
         e(gens, 2),
-        GrassmannElem.zero(gens),
+        GrassmannElem(gens),
     )
     with pytest.raises(ValueError):
         eval_array(((2, 1),), {1: bad, 2: bad})
@@ -294,6 +298,59 @@ def test_lincomb_difference_verification():
     for term, coeff in straighten(s).items():
         diff[term] = diff.get(term, Fraction(0)) - coeff
     assert verify_weak_identity(diff, samples=10, gens=10, seed=1)
+
+
+def test_identity_table_pins_variables_and_generators():
+    assert {name: entry[:2] for name, entry in IDENTITIES.items()} == {
+        "c3": (3, 12),
+        "p": (4, 16),
+        "c2": (2, 12),
+    }
+
+
+def test_identity_table_polynomials():
+    # c3 and p vanish on supertrace-zero matrices, so the table is also
+    # compared on general supermatrices, where every value is nonzero
+    def bracket(x, y):
+        return x * y - y * x
+
+    def written_out(w):
+        return {
+            "c3": bracket(bracket(w[1], w[2]), w[3]),
+            "p": bracket(w[2], w[1]) * bracket(w[3], w[1]) * bracket(w[4], w[1]),
+            "c2": bracket(w[1], w[2]),
+        }
+
+    rng = random.Random(9)
+    for _ in range(10):
+        w = {i: random_w(8, rng) for i in (1, 2, 3, 4)}
+        general = {i: M11(x.a, x.b, x.c, random_w(8, rng).d) for i, x in w.items()}
+        expected, expected_general = written_out(w), written_out(general)
+        for name in ("p", "c2"):
+            (s,) = IDENTITIES[name][2]
+            assert eval_array(s, w) == expected[name]
+        assert IDENTITIES["c3"][2](w) == expected["c3"]
+        for name, (_, _, polynomial) in IDENTITIES.items():
+            value = grassmann._evaluate(polynomial, general)
+            assert value and value == expected_general[name]
+
+
+def test_combination_computes_each_column_once(monkeypatch):
+    # the 13 arrays of S - straighten(S) share 16 distinct columns
+    s = ((5, 1), (6, 2), (7, 3), (8, 4))
+    diff = {s: 1}
+    for term, coeff in straighten(s).items():
+        diff[term] = diff.get(term, 0) - coeff
+    assert len(diff) == 13
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return x * y - y * x
+
+    monkeypatch.setattr(grassmann, "commutator", counted)
+    assert check_identity(diff, samples=1, gens=16, seed=0) is None
+    assert len(calls) == 16
 
 
 def test_unknown_identity_name():
