@@ -17,6 +17,19 @@ column triple of a term, lets the term be solved for in terms of
 strictly larger arrays; after collecting like terms its coefficient in
 the relation is 1 or 2, so all divisions are by 1 or 2 and stay exact.
 
+The relation depends only on the order pattern of the three columns:
+relabelling their distinct values 1..k in order commutes with
+normalizing columns, sorting them and comparing arrays.  With every
+value occurring at most twice there are 33 such patterns, so the loop
+reads its rewrite from a table keyed by pattern (``_RELATIONS``), maps
+the row's columns back to the real values and merges them with the
+other columns.  Each row is solved once, on first use, by
+``_solve_triple``, which keeps the pivot and order checks.  As every
+pivot is 1 or 2, 70 of the table's 73 weights are integers and the
+other three are halves; the loop carries its coefficients as exact
+``int`` until a half enters, and only the returned combination turns
+them into ``Fraction``.
+
 The rewriting loop keeps a heap of the offending live terms keyed by
 ``ordering_key`` and always rewrites the least one.  A term is pushed
 when it enters the combination and is not normal; an entry whose term
@@ -95,6 +108,36 @@ def _solve_triple(cur: TwoRowArray, triple: tuple[int, int, int]) -> LinComb:
     return out
 
 
+# order pattern of an offending triple (its distinct values relabelled
+# 1..k in order) -> its relation row; filled on first use, 33 rows at most
+_RELATIONS: dict[TwoRowArray, dict[TwoRowArray, int | Fraction]] = {}
+
+
+def _table_solve(
+    cur: TwoRowArray, triple: tuple[int, int, int]
+) -> dict[TwoRowArray, int | Fraction]:
+    """:func:`_solve_triple` through the relation table, with ``int``
+    weights wherever they are integers; ``triple`` lists its column
+    indices in increasing order."""
+    r, mid, t = triple
+    u = (cur[r], cur[mid], cur[t])
+    rest = cur[:r] + cur[r + 1 : mid] + cur[mid + 1 : t] + cur[t + 1 :]
+    values = sorted({x for col in u for x in col})
+    label = {v: n for n, v in enumerate(values, 1)}
+    pattern = tuple((label[a], label[b]) for a, b in u)
+    row = _RELATIONS.get(pattern)
+    if row is None:
+        row = _RELATIONS[pattern] = {
+            carr: w.numerator if w.denominator == 1 else w
+            for carr, w in _solve_triple(pattern, (0, 1, 2)).items()
+        }
+    v = [0, *values]  # label n stands for v[n]
+    return {
+        _star(((v[a1], v[b1]), (v[a2], v[b2]), (v[a3], v[b3])), rest): w
+        for ((a1, b1), (a2, b2), (a3, b3)), w in row.items()
+    }
+
+
 def straighten(s: TwoRowArray, stats: dict | None = None) -> LinComb:
     """Rewrite an arbitrary array as a combination of normal c-arrays.
 
@@ -104,10 +147,11 @@ def straighten(s: TwoRowArray, stats: dict | None = None) -> LinComb:
     """
     s = array(s)
     sign, carr = _normalize(s)
+    # coefficients stay ``int`` until a half enters; the result converts
     if sign == 0 or any(n > 2 for n in array_content(carr)):
-        terms: LinComb = {}
+        terms: dict[TwoRowArray, int | Fraction] = {}
     else:
-        terms = {carr: Fraction(sign)}
+        terms = {carr: sign}
     # the least offending live term sits on top; entries whose term has
     # since cancelled are stale and skipped
     worklist = [
@@ -121,7 +165,7 @@ def straighten(s: TwoRowArray, stats: dict | None = None) -> LinComb:
         if coeff is None:
             continue
         steps += 1
-        replacements = _solve_triple(cur, _first_weak_triple(cur))
+        replacements = _table_solve(cur, _first_weak_triple(cur))
         for repl in replacements:
             repl_key = ordering_key(repl)
             if repl_key <= key:
@@ -138,7 +182,7 @@ def straighten(s: TwoRowArray, stats: dict | None = None) -> LinComb:
         stats["steps"] = steps
         stats["peak_terms"] = peak
         stats["max_den"] = max((c.denominator for c in terms.values()), default=1)
-    return terms
+    return {t: Fraction(c) for t, c in terms.items()}
 
 
 def lincomb_multiply(l1: LinComb, l2: LinComb) -> LinComb:

@@ -1,10 +1,11 @@
+import importlib
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ import pytest
 from carrays.acceptance import DERIVED_FORM_FIXTURES, split_phi
 from carrays.carray import array_content, is_normal, normalize, ordering_key
 from carrays.straighten import (
+    _RELATIONS,
     _solve_triple,
+    _table_solve,
     lincomb_multiply,
     lincomb_to_json,
     multilinearize,
@@ -169,6 +172,107 @@ def test_worklist_matches_rescan_reference():
         ), s
 
 
+def increasing_bottoms(m):
+    """``(2,1)(4,3)...(2m,2m-1)``: every column triple offends, the
+    slowest multilinear array of its degree."""
+    return tuple((2 * i, 2 * i - 1) for i in range(1, m + 1))
+
+
+def relation_patterns():
+    """Every order pattern of an offending triple: sorted triples of
+    descending columns with weakly increasing bottoms on the values
+    1..k, each value used once or twice."""
+    patterns = []
+    for k in range(1, 7):
+        columns = [(a, b) for a in range(1, k + 1) for b in range(1, a)]
+        for u in combinations_with_replacement(columns, 3):
+            counts = Counter(x for col in u for x in col)
+            if (
+                u[0][1] <= u[1][1] <= u[2][1]
+                and set(counts) == set(range(1, k + 1))
+                and max(counts.values()) <= 2
+            ):
+                patterns.append(u)
+    return patterns
+
+
+def test_relation_table_rows_are_sound_and_increasing():
+    patterns = relation_patterns()
+    assert len(patterns) == 33
+    weights = []
+    for u in patterns:
+        # the values of a pattern are its own labels, so the table route
+        # returns its row unchanged
+        row = _table_solve(u, (0, 1, 2))
+        assert row == _RELATIONS[u]
+        assert split_phi({u: 1}) == split_phi(row), u
+        assert all(ordering_key(t) > ordering_key(u) for t in row), u
+        weights.extend(row.values())
+    # every pivot is 1 or 2: the weights are ints but for three halves
+    halves = sorted(w for w in weights if type(w) is not int)
+    assert halves == [-HALF, -HALF, HALF]
+    assert len(weights) == 73
+
+
+def seeded_offending_triples():
+    """(c-array, weak triple) pairs of 3-6 columns on values up to 40,
+    drawn from a fixed seed: half multilinear, half with doubled
+    values."""
+    rng = random.Random(20020506)
+    cases = []
+    while len(cases) < 600:
+        m = rng.randint(3, 6)
+        doubled = len(cases) % 2 * rng.randint(1, 3)
+        values = rng.sample(range(1, 41), 2 * m - doubled)
+        items = values + rng.sample(values, doubled)
+        rng.shuffle(items)
+        sign, carr = normalize(tuple(zip(items[0::2], items[1::2])))
+        if sign == 0:
+            continue
+        triples = weak_triples(carr)
+        if triples:
+            cases.append((carr, rng.choice(triples)))
+    return cases
+
+
+def test_table_route_matches_direct_relation():
+    cases = seeded_offending_triples()
+    doubled = sum(max(array_content(s)) == 2 for s, _ in cases)
+    assert doubled >= 250 and len(cases) - doubled >= 250
+    for cur, triple in cases:
+        assert _table_solve(cur, triple) == _solve_triple(cur, triple), (cur, triple)
+    assert len(_RELATIONS) <= 33
+
+
+def test_relation_table_solves_each_pattern_once(monkeypatch):
+    module = importlib.import_module("carrays.straighten")
+    solved = []
+    real = module._solve_triple
+
+    def counting(cur, triple):
+        solved.append(cur)
+        return real(cur, triple)
+
+    monkeypatch.setattr(module, "_RELATIONS", {})
+    monkeypatch.setattr(module, "_solve_triple", counting)
+    steps = 0
+    for s in seeded_arrays() + [increasing_bottoms(6)]:
+        stats = {}
+        straighten(s, stats)
+        steps += stats["steps"]
+    assert len(solved) == len(set(solved)) == len(module._RELATIONS) <= 33
+    assert steps > 10 * len(solved)
+
+
+def test_coefficients_are_fractions():
+    # integral coefficients too: the loop carries ints, the result
+    # converts every one
+    worst = [increasing_bottoms(m) for m in (4, 5, 6)]
+    for s in seeded_arrays() + worst + [((2, 1),), ((1, 2),)]:
+        result = straighten(s)
+        assert all(type(c) is Fraction for c in result.values()), s
+
+
 def test_stats_on_trivial_inputs():
     stats = {}
     assert straighten(((2, 2),), stats) == {}
@@ -178,9 +282,7 @@ def test_stats_on_trivial_inputs():
 
 
 def test_degree_14_increasing_bottom():
-    # every column triple offends: the slowest multilinear array of
-    # its degree
-    s = tuple((2 * i, 2 * i - 1) for i in range(1, 8))
+    s = increasing_bottoms(7)
     result = straighten(s)
     assert len(result) == 772
     assert all(is_normal(t) for t in result)
