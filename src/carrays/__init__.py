@@ -40,7 +40,7 @@ from .grassmann import (
     verify_weak_identity,
 )
 from .krs import delete, insert
-from .oracle import Poly, exact_rank, independence_rank, perm_sign, phi, q_poly
+from .oracle import Poly, independence_rank, phi
 from .series import (
     SymPoly,
     carini_drensky,
@@ -51,7 +51,7 @@ from .series import (
     hilbert_by_tableaux,
     schur,
 )
-from .straighten import LinComb, lincomb_multiply, multilinearize, straighten
+from .straighten import LinComb, multilinearize, straighten
 from .tableaux import (
     Content,
     Shape,
@@ -60,7 +60,6 @@ from .tableaux import (
     enumerate_ssyt,
     is_d_tableau,
     is_semistandard_english,
-    is_semistandard_french,
 )
 
 __version__ = "0.1.0"
@@ -90,11 +89,8 @@ __all__ = [
     "verify_weak_identity",
     "delete",
     "insert",
-    "exact_rank",
     "independence_rank",
-    "perm_sign",
     "phi",
-    "q_poly",
     "carini_drensky",
     "dimension",
     "elementary_symmetric",
@@ -102,13 +98,11 @@ __all__ = [
     "hilbert_by_dimension",
     "hilbert_by_tableaux",
     "schur",
-    "lincomb_multiply",
     "multilinearize",
     "straighten",
     "content_of",
     "enumerate_ssyt",
     "is_d_tableau",
     "is_semistandard_english",
-    "is_semistandard_french",
     "__version__",
 ]

@@ -80,7 +80,7 @@ def iter_semistandard(max_cells: int, max_entry: int):
     for n in range(max_cells + 1):
         for shape in iter_partitions(n):
             for content in _compositions(n, max_entry):
-                yield from enumerate_ssyt(shape, content, "english")
+                yield from enumerate_ssyt(shape, content)
 
 
 def iter_dtableaux(max_cells: int, max_entry: int):
@@ -90,7 +90,7 @@ def iter_dtableaux(max_cells: int, max_entry: int):
         for half in iter_partitions(m):
             shape = tuple(p for part in half for p in (part, part))
             for content in _compositions(2 * m, max_entry):
-                yield from enumerate_ssyt(shape, content, "english")
+                yield from enumerate_ssyt(shape, content)
 
 
 def longest_weak_increase(seq) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .carray import TwoRowArray, _require_c_array, array_content, is_c_array
 from .krs import _bump, _unbump
-from .tableaux import Tableau, content_of, count_content, is_d_tableau
+from .tableaux import Tableau, count_content, is_d_tableau
 
 
 def carray_to_dtableau(s: TwoRowArray) -> Tableau:
@@ -81,10 +81,3 @@ def first_row_length(s: TwoRowArray) -> int:
     """
     t = carray_to_dtableau(s)
     return len(t[0]) if t else 0
-
-
-def normal_image_shape(s: TwoRowArray) -> bool:
-    """Tableau-side picture of normality: the image shape is of the
-    form ``(2^2p, 1^2q)`` and no entry occurs more than twice."""
-    t = carray_to_dtableau(s)
-    return all(len(row) <= 2 for row in t) and all(n <= 2 for n in content_of(t))

@@ -28,12 +28,16 @@ TwoRowArray = tuple[Column, ...]
 
 
 def array(columns) -> TwoRowArray:
-    """Validate and return an array as a tuple of ``(a, b)`` columns."""
-    cols = tuple((int(a), int(b)) for a, b in columns)
-    for a, b in cols:
+    """Validate and return an array as a tuple of ``(a, b)`` columns of
+    positive ``int`` entries; any other type raises ``TypeError``."""
+    cols = []
+    for a, b in columns:
+        if type(a) is not int or type(b) is not int:
+            raise TypeError(f"array entries must be integers: {(a, b)!r}")
         if a < 1 or b < 1:
-            raise ValueError(f"array entries must be positive: {cols}")
-    return cols
+            raise ValueError(f"array entries must be positive: {(a, b)}")
+        cols.append((a, b))
+    return tuple(cols)
 
 
 def array_from_rows(top, bottom) -> TwoRowArray:

@@ -173,7 +173,7 @@ def cmd_codim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    gens = args.generators or IDENTITIES[args.identity][1]
+    gens = IDENTITIES[args.identity][1] if args.generators is None else args.generators
     witness = check_identity(
         args.identity, samples=args.samples, gens=gens, seed=args.seed
     )

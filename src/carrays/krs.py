@@ -57,7 +57,8 @@ def insert(t: Tableau, x: int) -> tuple[Tableau, int]:
     the row that gained a cell (possibly a new row at the bottom).
     """
     t = _require_semistandard(t)
-    x = int(x)
+    if type(x) is not int:
+        raise TypeError(f"inserted value must be an integer: {x!r}")
     if x < 1:
         raise ValueError(f"inserted value must be positive: {x}")
     rows = [list(row) for row in t]

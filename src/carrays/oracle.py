@@ -18,7 +18,7 @@ fraction-free elimination over the integers on dict rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
 from .carray import TwoRowArray, array
@@ -84,11 +84,6 @@ def _sign(word: list[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def perm_sign(s: TwoRowArray) -> int:
-    """Sign of the permutation reading the array column by column."""
-    return _sign(_checked(s)[1])
-
-
 def _masks(s: TwoRowArray) -> list[int]:
     """The ``2**m`` distinct masks of ``prod (U_a U_b + V_a V_b)``."""
     masks = [0]
@@ -96,11 +91,6 @@ def _masks(s: TwoRowArray) -> list[int]:
         both = 1 << a | 1 << b
         masks = masks + [mask | both for mask in masks]
     return masks
-
-
-def q_poly(s: TwoRowArray) -> Poly:
-    """Product over columns of ``U_a U_b + V_a V_b``."""
-    return _wrap(dict.fromkeys(_masks(_checked(s)[0]), 1))
 
 
 def phi(combination: Mapping[TwoRowArray, Fraction]) -> Poly:
@@ -147,20 +137,6 @@ def _rank(rows: Iterable[dict]) -> int:
             if g > 1:
                 row = {col: c // g for col, c in row.items()}
     return len(pivots)
-
-
-def exact_rank(rows: Iterable[Iterable]) -> int:
-    """Rank of an exact rational matrix, by sparse fraction-free
-    elimination after scaling each row to integers; no floating point
-    is involved.  Rows of different lengths raise ``ValueError``."""
-    mat = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in rows]
-    if len({len(row) for row in mat}) > 1:
-        raise ValueError("ragged matrix")
-    scaled = []
-    for row in mat:
-        scale = lcm(*(f.denominator for f in row))
-        scaled.append({j: int(f * scale) for j, f in enumerate(row) if f})
-    return _rank(scaled)
 
 
 def independence_rank(arrays: Iterable[TwoRowArray]) -> int:

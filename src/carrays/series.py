@@ -187,7 +187,7 @@ def schur(shape, k: int, maxdeg: int) -> SymPoly:
         return SymPoly(k, maxdeg=maxdeg)
     terms: dict[Exponents, Fraction] = {}
     for content in _compositions(n, k):
-        count = len(enumerate_ssyt(sh, content, "english"))
+        count = len(enumerate_ssyt(sh, content))
         if count:
             terms[content] = Fraction(count)
     return SymPoly(k, terms, maxdeg=maxdeg)

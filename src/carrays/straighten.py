@@ -68,7 +68,6 @@ from .carray import (
     has_no_weak_bottom_triple,
     is_normal,
     ordering_key,
-    star,
 )
 from .sparse import accumulate
 
@@ -183,19 +182,6 @@ def straighten(s: TwoRowArray, stats: dict | None = None) -> LinComb:
         stats["peak_terms"] = peak
         stats["max_den"] = max((c.denominator for c in terms.values()), default=1)
     return {t: Fraction(c) for t, c in terms.items()}
-
-
-def lincomb_multiply(l1: LinComb, l2: LinComb) -> LinComb:
-    """Bilinear extension of the column-merge product, re-straightened.
-
-    Terms whose merged content puts a value more than twice vanish.
-    """
-    return accumulate(
-        (t, c1 * c2 * c)
-        for s1, c1 in l1.items()
-        for s2, c2 in l2.items()
-        for t, c in straighten(star(s1, s2)).items()
-    )
 
 
 def multilinearize(s: TwoRowArray) -> list[TwoRowArray]:

@@ -1,15 +1,9 @@
 """Partitions, tableaux and semistandard enumeration.
 
 A tableau is stored as a tuple of rows, each row a tuple of positive
-integers; the row lengths must be weakly decreasing (a partition).  Two
-semistandard conventions are supported, differing in where strictness
-lives:
-
-* english: rows weakly increasing, columns strictly increasing
-* french:  rows strictly increasing, columns weakly increasing
-
-On multilinear fillings (every value used exactly once) the two
-conventions coincide.
+integers; the row lengths must be weakly decreasing (a partition).  A
+tableau is semistandard in the english convention: rows weakly
+increasing, columns strictly increasing.
 
 A partition is a *double shape* when every part occurs an even number
 of times, e.g. ``(2, 2, 1, 1, 1, 1)``.  A *d-tableau* is an
@@ -28,12 +22,20 @@ Shape = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 Content = tuple[int, ...]
 
-CONVENTIONS = ("english", "french")
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ``int``; a ``bool``, float or string
+    raises ``TypeError`` instead of being truncated or parsed."""
+    t = tuple(values)
+    for x in t:
+        if type(x) is not int:
+            raise TypeError(f"{what} must be integers: {t!r}")
+    return t
 
 
 def shape(parts) -> Shape:
     """Validate and return a partition as a tuple (empty allowed)."""
-    sh = tuple(int(p) for p in parts)
+    sh = _integers(parts, "shape parts")
     if any(p < 1 for p in sh):
         raise ValueError(f"shape parts must be positive: {sh}")
     if any(sh[i] < sh[i + 1] for i in range(len(sh) - 1)):
@@ -43,7 +45,7 @@ def shape(parts) -> Shape:
 
 def tableau(rows) -> Tableau:
     """Validate and return a tableau as a tuple of row tuples."""
-    t = tuple(tuple(int(x) for x in row) for row in rows)
+    t = tuple(_integers(row, "tableau entries") for row in rows)
     shape_of(t)
     for row in t:
         if any(x < 1 for x in row):
@@ -55,23 +57,17 @@ def shape_of(t: Tableau) -> Shape:
     return shape(len(row) for row in t)
 
 
-def _is_semistandard(t: Tableau, strict_rows: bool) -> bool:
-    """Both conventions on a validated tableau: rows weakly and columns
-    strictly increasing, or with ``strict_rows`` the other way round."""
-    in_row, in_column = (lt, le) if strict_rows else (le, lt)
-    return all(all(map(in_row, row, row[1:])) for row in t) and all(
-        all(map(in_column, upper, lower)) for upper, lower in zip(t, t[1:])
+def _is_semistandard(t: Tableau) -> bool:
+    """Rows weakly and columns strictly increasing, on a validated
+    tableau."""
+    return all(all(map(le, row, row[1:])) for row in t) and all(
+        all(map(lt, upper, lower)) for upper, lower in zip(t, t[1:])
     )
 
 
 def is_semistandard_english(t: Tableau) -> bool:
     """Rows weakly increasing, columns strictly increasing."""
-    return _is_semistandard(tableau(t), strict_rows=False)
-
-
-def is_semistandard_french(t: Tableau) -> bool:
-    """Rows strictly increasing, columns weakly increasing."""
-    return _is_semistandard(tableau(t), strict_rows=True)
+    return _is_semistandard(tableau(t))
 
 
 def _has_double_parts(parts) -> bool:
@@ -81,14 +77,9 @@ def _has_double_parts(parts) -> bool:
     return all(n % 2 == 0 for n in counts.values())
 
 
-def is_double_shape(parts) -> bool:
-    """True when every part of the partition occurs an even number of times."""
-    return _has_double_parts(shape(parts))
-
-
 def is_d_tableau(t: Tableau) -> bool:
     t = tableau(t)
-    return _has_double_parts(map(len, t)) and _is_semistandard(t, strict_rows=False)
+    return _has_double_parts(map(len, t)) and _is_semistandard(t)
 
 
 def count_content(entries: list[int]) -> Content:
@@ -107,7 +98,7 @@ def content_of(t: Tableau) -> Content:
 
 def trim_content(content) -> Content:
     """Canonical content vector: trailing zeros removed."""
-    c = tuple(int(n) for n in content)
+    c = _integers(content, "content counts")
     if any(n < 0 for n in c):
         raise ValueError(f"content counts must be nonnegative: {c}")
     while c and c[-1] == 0:
@@ -115,7 +106,7 @@ def trim_content(content) -> Content:
     return c
 
 
-def enumerate_ssyt(shape_, content, convention: str = "english") -> list[Tableau]:
+def enumerate_ssyt(shape_, content) -> list[Tableau]:
     """All semistandard tableaux of the given shape and content.
 
     Entries are drawn from 1..len(content) with the prescribed
@@ -125,17 +116,12 @@ def enumerate_ssyt(shape_, content, convention: str = "english") -> list[Tableau
     ascending value choices produces.
     """
     sh = shape(shape_)
-    counts = [int(n) for n in content]
-    if any(n < 0 for n in counts):
-        raise ValueError(f"content counts must be nonnegative: {counts}")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention: {convention!r}")
+    counts = list(trim_content(content))
     if sum(counts) != sum(sh):
         raise ValueError(
             f"content sums to {sum(counts)} but shape has {sum(sh)} cells"
         )
 
-    strict_rows = convention == "french"
     k = len(counts)
     cells = [(i, j) for i, width in enumerate(sh) for j in range(width)]
     grid = [[0] * width for width in sh]
@@ -148,9 +134,9 @@ def enumerate_ssyt(shape_, content, convention: str = "english") -> list[Tableau
         i, j = cells[pos]
         lo = 1
         if j:
-            lo = grid[i][j - 1] + (1 if strict_rows else 0)
+            lo = grid[i][j - 1]
         if i:
-            lo = max(lo, grid[i - 1][j] + (0 if strict_rows else 1))
+            lo = max(lo, grid[i - 1][j] + 1)
         for v in range(lo, k + 1):
             if counts[v - 1]:
                 counts[v - 1] -= 1
@@ -169,8 +155,7 @@ def tableau_to_text(t: Tableau) -> str:
 
 
 def tableau_from_text(text: str) -> Tableau:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    return tableau(rows)
+    return tableau(map(int, line.split()) for line in text.splitlines() if line.strip())
 
 
 def tableau_to_json(t: Tableau) -> dict:

@@ -6,7 +6,6 @@ from carrays.bijection import (
     carray_to_dtableau,
     dtableau_to_carray,
     first_row_length,
-    normal_image_shape,
 )
 from carrays.carray import array_content, is_normal
 from carrays.tableaux import content_of, is_d_tableau
@@ -79,6 +78,13 @@ def test_round_trip_small_sweep():
 def test_first_row_is_weak_lis_small_sweep():
     for s in iter_carrays(3, 6):
         assert first_row_length(s) == longest_weak_increase(b for _, b in s)
+
+
+def normal_image_shape(s):
+    """The image shape is of the form ``(2^2p, 1^2q)`` and no entry
+    occurs more than twice."""
+    t = carray_to_dtableau(s)
+    return all(len(row) <= 2 for row in t) and all(n <= 2 for n in content_of(t))
 
 
 def test_normality_matches_image_shape():

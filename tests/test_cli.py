@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +250,57 @@ def test_bad_json_input_exits_2(capsys, monkeypatch, argv, payload):
     assert code == 2
     assert out == ""
     assert "error" in err and "usage" in err
+
+
+def test_verify_rejects_too_few_generators(capsys, monkeypatch):
+    # an explicit 0 is rejected, not replaced by the default
+    code, out, err = run_cli(
+        capsys, monkeypatch, ["verify", "--identity", "c3", "--generators", "0"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "need at least 3 generators" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_SHOWS_OUTPUT = re.compile(r'carrays (.+?)\s+# (?:stdin: "(.*)"\s+)?->\s+(.+)')
+_SHOWS_EXIT = re.compile(r"carrays (.+?)\s+# .*\bexits (\d)")
+
+
+def _readme_text(field: str) -> str:
+    """A README stdin or output field: quoted with ``\\n`` escapes, or bare."""
+    if field.startswith('"') and field.endswith('"'):
+        field = field[1:-1]
+    return field.replace("\\n", "\n")
+
+
+def test_readme_command_examples(capsys, monkeypatch):
+    # every README command line that shows its output or exit code
+    # gives exactly that
+    seen = []
+    for line in README.read_text().splitlines():
+        if match := _SHOWS_OUTPUT.match(line):
+            args, stdin, expected = match.groups()
+            argv = shlex.split(args)
+            stdin = _readme_text(stdin or "")
+            code, out, _ = run_cli(capsys, monkeypatch, argv, stdin)
+            assert (code, out) == (0, _readme_text(expected) + "\n"), line
+        elif match := _SHOWS_EXIT.match(line):
+            argv = shlex.split(match[1])
+            code, _, _ = run_cli(capsys, monkeypatch, argv)
+            assert code == int(match[2]), line
+        else:
+            continue
+        seen.append(argv[0])
+    assert seen == [
+        "convert",
+        "convert",
+        "enumerate",
+        "dims",
+        "hilbert",
+        "codim",
+        "verify",
+    ]
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

@@ -16,7 +16,6 @@ from carrays.straighten import (
     _RELATIONS,
     _solve_triple,
     _table_solve,
-    lincomb_multiply,
     lincomb_to_json,
     multilinearize,
     straighten,
@@ -345,23 +344,6 @@ def test_triple_occurrence_fully_linearizes_to_kernel():
         total[cols] = total.get(cols, Fraction(0)) + 1
     assert phi(total).is_zero()
     assert straighten(source) == {}
-
-
-def test_lincomb_multiply_disjoint():
-    l1 = {((2, 1),): Fraction(1)}
-    l2 = {((4, 3),): Fraction(1)}
-    assert lincomb_multiply(l1, l2) == {((2, 1), (4, 3)): 1}
-
-
-def test_lincomb_multiply_square():
-    l = {((2, 1),): Fraction(1)}
-    assert lincomb_multiply(l, l) == {((2, 1), (2, 1)): 1}
-
-
-def test_lincomb_multiply_multiplicity_kill():
-    l1 = {((2, 1), (2, 1)): Fraction(1)}
-    l2 = {((2, 1),): Fraction(1)}
-    assert lincomb_multiply(l1, l2) == {}
 
 
 def test_multilinearize_identity_on_multilinear():

@@ -10,9 +10,7 @@ from carrays.tableaux import (
     content_of,
     enumerate_ssyt,
     is_d_tableau,
-    is_double_shape,
     is_semistandard_english,
-    is_semistandard_french,
     shape,
     shape_of,
     tableau,
@@ -45,31 +43,11 @@ def test_semistandard_english_rejects_bad_shape():
         is_semistandard_english(((1,), (2, 3)))
 
 
-def test_semistandard_french():
-    assert is_semistandard_french(((1, 2), (1, 2)))
-    assert not is_semistandard_french(((1, 1), (2, 3)))
-
-
-def test_conventions_coincide_on_multilinear():
-    for n in range(7):
-        for sh in iter_partitions(n):
-            english = set(enumerate_ssyt(sh, (1,) * n, "english"))
-            french = set(enumerate_ssyt(sh, (1,) * n, "french"))
-            assert english == french
-
-
 def test_is_d_tableau():
     assert is_d_tableau(((1,), (2,)))
     assert is_d_tableau(((1, 3), (2, 4)))
     assert not is_d_tableau(((1, 2), (3,)))
     assert is_d_tableau(())
-
-
-def test_double_shape():
-    assert is_double_shape((2, 2, 1, 1, 1, 1))
-    assert is_double_shape(())
-    assert not is_double_shape((2, 2, 2))
-    assert is_double_shape((2, 2, 2, 2))
 
 
 def test_content():
@@ -101,24 +79,17 @@ def test_enumerate_ssyt_empty_shape():
 def test_enumerate_ssyt_size_mismatch():
     with pytest.raises(ValueError):
         enumerate_ssyt((2, 1), (1, 1))
-    with pytest.raises(ValueError):
-        enumerate_ssyt((1,), (1,), "flemish")
 
 
 def test_enumerated_tableaux_are_semistandard_with_right_content():
-    predicates = {
-        "english": is_semistandard_english,
-        "french": is_semistandard_french,
-    }
     for n in range(6):
         for sh in iter_partitions(n):
             for content in _compositions(n, 3):
-                for convention, predicate in predicates.items():
-                    found = enumerate_ssyt(sh, content, convention)
-                    assert len(set(found)) == len(found)
-                    for t in found:
-                        assert predicate(t)
-                        assert trim_content(content_of(t)) == trim_content(content)
+                found = enumerate_ssyt(sh, content)
+                assert len(set(found)) == len(found)
+                for t in found:
+                    assert is_semistandard_english(t)
+                    assert trim_content(content_of(t)) == trim_content(content)
 
 
 def test_ssyt_count_invariant_under_content_permutation():
