@@ -103,7 +103,12 @@ def _is_c_array(s: TwoRowArray) -> bool:
 
 
 def is_normal(s: TwoRowArray) -> bool:
-    return classify(s) == "normal"
+    return _is_normal(array(s))
+
+
+def _is_normal(s: TwoRowArray) -> bool:
+    """:func:`is_normal` on an array already validated."""
+    return _is_c_array(s) and has_bounded_multiplicity(s) and has_no_weak_bottom_triple(s)
 
 
 def classify(s: TwoRowArray) -> str:

@@ -24,6 +24,7 @@ from typing import Mapping
 
 from .carray import TwoRowArray, array
 from .sparse import Sparse, _is_exact, accumulate, exact_coeff
+from .tableaux import _integers
 
 
 def _wedge(left: dict, right: dict) -> dict:
@@ -83,13 +84,14 @@ class GrassmannElem(Sparse):
     _SPACE_NAME = "generator counts"
 
     def __init__(self, gens: int, terms=None):
-        gens = int(gens)
+        if type(gens) is not int:
+            raise TypeError(f"generator count must be an integer: {gens!r}")
         if gens < 0:
             raise ValueError("generator count must be nonnegative")
         self.gens = gens
         pairs = []
         for mono, coeff in (terms or {}).items():
-            mono = tuple(int(g) for g in mono)
+            mono = _integers(mono, "generator indices")
             if any(g < 1 or g > gens for g in mono):
                 raise ValueError(f"generator index out of range 1..{gens}: {mono}")
             if any(mono[k] >= mono[k + 1] for k in range(len(mono) - 1)):

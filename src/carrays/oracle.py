@@ -40,8 +40,12 @@ class Poly(Sparse):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
+        terms = terms or {}
+        for mask in terms:
+            if type(mask) is not int:
+                raise TypeError(f"monomial mask must be an integer: {mask!r}")
         self.terms = accumulate(
-            (int(mask), exact_coeff(coeff)) for mask, coeff in (terms or {}).items()
+            (mask, exact_coeff(coeff)) for mask, coeff in terms.items()
         )
 
     def _tokens(self, mask: int) -> list[tuple[str, int]]:

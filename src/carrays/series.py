@@ -29,7 +29,7 @@ from math import comb, factorial
 from typing import Iterable
 
 from .sparse import Sparse, accumulate, exact_coeff
-from .tableaux import enumerate_ssyt, shape as validate_shape, trim_content
+from .tableaux import _integers, enumerate_ssyt, shape as validate_shape, trim_content
 
 Exponents = tuple[int, ...]
 
@@ -46,11 +46,13 @@ class SymPoly(Sparse):
     _SPACE_NAME = "variable counts"
 
     def __init__(self, nvars: int, terms=None, maxdeg: int | None = None):
-        self.nvars = int(nvars)
+        if type(nvars) is not int:
+            raise TypeError(f"variable count must be an integer: {nvars!r}")
+        self.nvars = nvars
         self.maxdeg = maxdeg
         pairs = []
         for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+            expo = _integers(expo, "exponents")
             if len(expo) != self.nvars or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent vector: {expo}")
             if maxdeg is None or sum(expo) <= maxdeg:

@@ -12,40 +12,28 @@ modulo three facts about products of commutators:
   of the products over all distinct rearrangements of those bottom
   entries (tops fixed in place) vanishes.
 
-The last relation, applied to the lexicographically first offending
-column triple of a term, lets the term be solved for in terms of
-strictly larger arrays; after collecting like terms its coefficient in
-the relation is 1 or 2, so all divisions are by 1 or 2 and stay exact.
+The last relation, applied to an offending column triple of a term,
+solves the term for strictly larger arrays with a pivot of 1 or 2.  It
+depends only on the order pattern of the three columns, of which there
+are 33 when no value occurs more than twice, so the loop reads it from
+a table keyed by pattern (``_RELATIONS``, each row solved on first use
+by ``_solve_triple``, which checks the pivot and the order) and maps
+the row back to the real values.  70 of the 73 weights are integers
+and three are halves: coefficients stay exact ``int`` until a half
+enters, and only the returned combination turns them into ``Fraction``.
 
-The relation depends only on the order pattern of the three columns:
-relabelling their distinct values 1..k in order commutes with
-normalizing columns, sorting them and comparing arrays.  With every
-value occurring at most twice there are 33 such patterns, so the loop
-reads its rewrite from a table keyed by pattern (``_RELATIONS``), maps
-the row's columns back to the real values and merges them with the
-other columns.  Each row is solved once, on first use, by
-``_solve_triple``, which keeps the pivot and order checks.  As every
-pivot is 1 or 2, 70 of the table's 73 weights are integers and the
-other three are halves; the loop carries its coefficients as exact
-``int`` until a half enters, and only the returned combination turns
-them into ``Fraction``.
-
-The rewriting loop keeps a heap of the offending live terms keyed by
-``ordering_key`` and always rewrites the least one.  A term is pushed
-when it enters the combination and is not normal; an entry whose term
-has since cancelled is skipped when it is popped.  Every step strictly
-increases the total order on arrays, which forces termination and means
-a rewritten term never returns.  Normality of a c-array whose values
-occur at most twice is one pass over its bottom row: no weakly
-increasing triple means a longest weakly increasing subsequence of
-length at most 2, tested by two-pile patience sorting
-(``carray.has_no_weak_bottom_triple``).
-
-Which offending term and triple a step rewrites does not change the
-result: the normal arrays are linearly independent (acceptance check 7
-proves it through the polynomial oracle), so every complete rewriting
-reaches the same combination.  The fixed choice only makes the steps,
-and so the statistics, deterministic.
+The loop keeps a heap of the offending live terms keyed by
+``ordering_key`` and rewrites the least one, at its weak triple
+``r < mid < t`` with the greatest ``t``, then the least ``mid``, then
+the greatest ``r`` (``_weak_triple``).  A term is pushed when it
+enters the combination and is not normal; an entry whose term has
+since cancelled is skipped.  Every step strictly increases the total
+order, which forces termination.  The choice of term and triple cannot
+change the result: the normal arrays are linearly independent
+(acceptance check 7), so every complete rewriting reaches the same
+combination.  It moves only the steps: ``(2,1)(4,3)...(14,13)`` takes
+2,585, against 11,144 at the lexicographically first triple and at
+least 2,780 under the other 47 lexicographic rules on ``(r, mid, t)``.
 
 Outside input is validated once, by ``straighten`` itself; the loop
 uses the unchecked cores of ``normalize`` and ``star``.  The pivot
@@ -57,16 +45,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations, permutations, product
+from itertools import permutations, product
+from math import inf
 
 from .carray import (
     TwoRowArray,
+    _is_normal,
     _normalize,
     _star,
     array,
     array_content,
     has_no_weak_bottom_triple,
-    is_normal,
     ordering_key,
 )
 from .sparse import accumulate
@@ -74,20 +63,44 @@ from .sparse import accumulate
 LinComb = dict[TwoRowArray, Fraction]
 
 
-def _first_weak_triple(s: TwoRowArray) -> tuple[int, int, int] | None:
-    b = [bb for _, bb in s]
-    for r, mid, t in combinations(range(len(s)), 3):
-        if b[r] <= b[mid] <= b[t]:
-            return r, mid, t
-    return None
+def _weak_triple(s: TwoRowArray) -> tuple[int, int, int] | None:
+    """The weak triple ``r < mid < t`` of ``s`` with the greatest ``t``,
+    then the least ``mid``, then the greatest ``r``; ``None`` if none.
+
+    ``t`` is the last column at least ``pair``, the least bottom before
+    it that ends a weakly increasing pair.  The least ``mid`` lowered
+    ``pair`` (an earlier pair end no greater would be less), so it is
+    the first such column at most ``b_t``.
+    """
+    t = None
+    low = pair = inf
+    ends = []  # columns that lowered ``pair``, in order
+    for j, (_, x) in enumerate(s):
+        if x >= pair:
+            t = j
+        elif x < low:
+            low = x
+        else:
+            pair = x
+            ends.append(j)
+    if t is None:
+        return None
+    top = s[t][1]
+    for mid in ends:
+        x = s[mid][1]
+        if x <= top:
+            break
+    r = mid - 1
+    while s[r][1] > x:
+        r -= 1
+    return r, mid, t
 
 
 def _solve_triple(cur: TwoRowArray, triple: tuple[int, int, int]) -> LinComb:
     """Express the offending term through strictly larger c-arrays."""
     u = tuple(cur[k] for k in triple)
     rest = tuple(col for k, col in enumerate(cur) if k not in triple)
-    tops = tuple(a for a, _ in u)
-    bottoms = tuple(b for _, b in u)
+    tops, bottoms = zip(*u)
     signed = (
         _normalize(tuple(zip(tops, arranged)))
         for arranged in set(permutations(bottoms))
@@ -164,7 +177,7 @@ def straighten(s: TwoRowArray, stats: dict | None = None) -> LinComb:
         if coeff is None:
             continue
         steps += 1
-        replacements = _table_solve(cur, _first_weak_triple(cur))
+        replacements = _table_solve(cur, _weak_triple(cur))
         for repl in replacements:
             repl_key = ordering_key(repl)
             if repl_key <= key:
@@ -175,7 +188,7 @@ def straighten(s: TwoRowArray, stats: dict | None = None) -> LinComb:
                 heappush(worklist, (repl_key, repl))
         accumulate(((repl, coeff * w) for repl, w in replacements.items()), terms)
         peak = max(peak, len(terms))
-    if not all(is_normal(t) for t in terms):
+    if not all(map(_is_normal, terms)):
         raise RuntimeError(f"straightening left a non-normal term: {terms}")
     if stats is not None:
         stats["steps"] = steps
@@ -230,10 +243,6 @@ def lincomb_to_json(l: LinComb) -> list[dict]:
     """Deterministic JSON payload: terms sorted by the array order."""
     items = sorted(l.items(), key=lambda kv: ordering_key(kv[0]))
     return [
-        {
-            "coeff": str(coeff),
-            "top": [a for a, _ in s],
-            "bottom": [b for _, b in s],
-        }
+        {"coeff": str(coeff), "top": [a for a, _ in s], "bottom": [b for _, b in s]}
         for s, coeff in items
     ]

@@ -2,7 +2,10 @@ import pytest
 
 import carrays
 from carrays.carray import array
+from carrays.grassmann import GrassmannElem
 from carrays.krs import insert
+from carrays.oracle import Poly
+from carrays.series import SymPoly
 from carrays.tableaux import enumerate_ssyt, shape, tableau, trim_content
 
 
@@ -41,6 +44,11 @@ ENTRY_POINTS = {
     "trim_content": lambda x: trim_content([1, x]),
     "enumerate_ssyt": lambda x: enumerate_ssyt((2,), [x]),
     "insert": lambda x: insert(((1,),), x),
+    "Poly mask": lambda x: Poly({x: 1}),
+    "GrassmannElem gens": lambda x: GrassmannElem(x),
+    "GrassmannElem index": lambda x: GrassmannElem(3, {(1, x): 1}),
+    "SymPoly nvars": lambda x: SymPoly(x),
+    "SymPoly exponent": lambda x: SymPoly(2, {(1, x): 1}),
 }
 
 

@@ -16,6 +16,7 @@ from carrays.straighten import (
     _RELATIONS,
     _solve_triple,
     _table_solve,
+    _weak_triple,
     lincomb_to_json,
     multilinearize,
     straighten,
@@ -84,14 +85,29 @@ def test_phi_soundness_small_sweep():
             assert split_phi({s: 1}) == split_phi(straighten(s))
 
 
-def rescan_straighten(s, last=False):
+def rule_a(triples):
+    """The weak triple with the greatest t, then the least mid, then the
+    greatest r: the choice ``straighten`` makes."""
+    return max(triples, key=lambda triple: (triple[2], -triple[1], triple[0]))
+
+
+def first(triples):
+    return triples[0]
+
+
+def last(triples):
+    return triples[-1]
+
+
+def rescan_straighten(s, pick=rule_a, greatest=False):
     """Test-only reference: the rescan-and-sort rewriting loop.
 
     Every step re-sorts all offending live terms, found by a brute-force
-    triple scan, and rewrites the least one at its lexicographically
-    first weak triple (with ``last``, the greatest one at its last
-    triple).  Returns the combination, the number of steps and the
-    most live terms at any time.
+    triple scan, and rewrites the least one (with ``greatest``, the
+    greatest one) at the weak triple that ``pick`` takes from the
+    lexicographically sorted list of its weak triples.  Returns the
+    combination, the number of steps and the most live terms at any
+    time.
     """
     sign, carr = normalize(s)
     if sign == 0 or any(n > 2 for n in array_content(carr)):
@@ -101,15 +117,13 @@ def rescan_straighten(s, last=False):
     peak = 1
     while True:
         offending = sorted(
-            (t for t in terms if weak_triples(t)), key=ordering_key, reverse=last
+            (t for t in terms if weak_triples(t)), key=ordering_key, reverse=greatest
         )
         if not offending:
             return terms, steps, peak
         cur = offending[0]
         coeff = terms.pop(cur)
-        triples = weak_triples(cur)
-        triple = triples[-1] if last else triples[0]
-        for repl, weight in _solve_triple(cur, triple).items():
+        for repl, weight in _solve_triple(cur, pick(weak_triples(cur))).items():
             new = terms.get(repl, Fraction(0)) + coeff * weight
             if new:
                 terms[repl] = new
@@ -148,14 +162,50 @@ def seeded_arrays():
     return arrays
 
 
+def seeded_wide_arrays():
+    """Raw arrays of 4-6 columns on values 1..12 whose c-array has more
+    than one weak triple, drawn from a fixed seed; every other one
+    doubles one or two values."""
+    rng = random.Random(20021018)
+    arrays = []
+    while len(arrays) < 24:
+        m = rng.randint(4, 6)
+        doubled = len(arrays) % 2 * rng.randint(1, 2)
+        values = rng.sample(range(1, 13), 2 * m - doubled)
+        items = values + rng.sample(values, doubled)
+        rng.shuffle(items)
+        cols = tuple(zip(items[0::2], items[1::2]))
+        sign, carr = normalize(cols)
+        if sign and len(weak_triples(carr)) > 1:
+            arrays.append(cols)
+    return arrays
+
+
 def test_triple_choice_does_not_change_result():
     # rewriting from any offending triple must reach the same normal
-    # form; compare against a worklist that picks the last triple
+    # form; 3-column arrays have one triple, so vary the term order too
     for word in product(range(1, 5), repeat=6):
         if any(n > 2 for n in Counter(word).values()):
             continue
         s = tuple(zip(word[0::2], word[1::2]))
-        assert straighten(s) == rescan_straighten(s, last=True)[0]
+        assert straighten(s) == rescan_straighten(s, last, greatest=True)[0]
+    wide = seeded_wide_arrays()
+    assert sum(max(array_content(s)) == 2 for s in wide) == len(wide) // 2
+    for s in wide:
+        result = straighten(s)
+        for pick in (first, last, rule_a):
+            assert rescan_straighten(s, pick)[0] == result, (s, pick.__name__)
+
+
+def test_scan_finds_rule_a_triple():
+    # every bottom row of length <= 7 over 1..5 (the scan reads only the
+    # bottom row)
+    for m in range(8):
+        for bottoms in product(range(1, 6), repeat=m):
+            s = tuple((6, b) for b in bottoms)
+            triples = weak_triples(s)
+            expected = rule_a(triples) if triples else None
+            assert _weak_triple(s) == expected, bottoms
 
 
 def test_worklist_matches_rescan_reference():
@@ -278,6 +328,24 @@ def test_stats_on_trivial_inputs():
     assert stats == {"steps": 0, "peak_terms": 0, "max_den": 1}
     assert straighten(((1, 2),), stats) == {((2, 1),): -1}
     assert stats == {"steps": 0, "peak_terms": 1, "max_den": 1}
+
+
+@pytest.mark.parametrize(
+    "degree, steps, peak, size",
+    [(8, 11, 23, 21), (10, 47, 66, 62), (12, 347, 293, 203), (14, 2585, 1495, 772)],
+)
+def test_increasing_bottom_stats(degree, steps, peak, size):
+    stats = {}
+    assert len(straighten(increasing_bottoms(degree // 2), stats)) == size
+    assert stats == {"steps": steps, "peak_terms": peak, "max_den": 1}
+
+
+def test_degree_16_increasing_bottom():
+    s = increasing_bottoms(8)
+    result = straighten(s)
+    assert len(result) == 3299
+    assert all(is_normal(t) for t in result)
+    assert all(array_content(t) == array_content(s) for t in result)
 
 
 def test_degree_14_increasing_bottom():
